@@ -20,15 +20,16 @@ True
 Package map
 -----------
 ``repro.api``         Declarative experiment facade: method/weight
-                      registries, ``RunSpec`` value objects and the
-                      ``run(spec) -> RunReport`` interpreter.
+                      registries, ``RunSpec`` value objects, the
+                      ``run(spec) -> RunReport`` interpreter and the
+                      ``execute`` executor every fan-out shares.
 ``repro.core``        GPS sampler, weight functions, post-/in-stream
                       estimation, generalised subgraph estimators.
 ``repro.graph``       Graph substrate: adjacency structure, exact counting,
                       generators, edge-list I/O.
 ``repro.streams``     Edge-stream model and transforms.
-``repro.engine``      High-throughput stream driving and parallel
-                      multi-seed replication.
+``repro.engine``      High-throughput stream driving, the resilient
+                      process pool and shared-memory edge publication.
 ``repro.serve``       Live sampling service: concurrent ingestion with
                       epoch-stamped snapshot queries (``ServeSpec`` +
                       ``SamplingService`` + ``python -m repro serve``).
@@ -39,7 +40,7 @@ Package map
                       table and figure in the paper.
 """
 
-from repro.api.execution import RunReport, run
+from repro.api.execution import MetricSummary, RunReport, run
 from repro.api.registry import register_method, register_weight
 from repro.api.spec import RunSpec
 from repro.core.adaptive import AdaptiveTriangleWeight
@@ -60,12 +61,6 @@ from repro.core.weights import (
     TriangleWeight,
     UniformWeight,
     WedgeWeight,
-)
-from repro.engine.replication import (
-    MetricSummary,
-    ReplicatedRunner,
-    ReplicatedSummary,
-    ReplicationResult,
 )
 from repro.engine.stream_engine import EngineStats, StreamEngine
 from repro.serve import SamplingService, ServeSpec
@@ -111,9 +106,6 @@ __all__ = [
     "WedgeWeight",
     "EngineStats",
     "MetricSummary",
-    "ReplicatedRunner",
-    "ReplicatedSummary",
-    "ReplicationResult",
     "StreamEngine",
     "SamplingService",
     "ServeSpec",

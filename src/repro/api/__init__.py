@@ -12,12 +12,14 @@ bars.  This package expresses that shape once, declaratively:
 * :mod:`repro.api.spec` — :class:`RunSpec`, a frozen value object with a
   lossless JSON round trip: experiments are data, not code.
 * :mod:`repro.api.execution` — ``run(spec) -> RunReport`` dispatching a
-  spec through single, tracking or replicated passes; any registered
-  method replicates across the process pool.
+  spec through single, tracking, sharded or replicated passes, and
+  ``execute(specs)``, the one executor every fan-out shares: seeded
+  single-pass specs in, one report each out, inline or on a
+  fault-tolerant process pool.
 * :mod:`repro.api.sweep` — :class:`SweepSpec`, a declarative grid of
   ``RunSpec``\\ s (methods × budgets × weights × sources × seeds);
-  ``run_sweep(spec) -> SweepReport`` executes it over a shared process
-  pool with cached ground truth and per-cell error summaries.
+  ``run_sweep(spec) -> SweepReport`` executes it through ``execute``
+  with cached ground truth and per-cell error summaries.
 * :mod:`repro.api.ground_truth` — the content-addressed cache of exact
   statistics (and sweep cell reports) behind ``--resume``.
 
@@ -37,7 +39,14 @@ The CLI (``python -m repro``), the experiment harnesses
 facade; ``python -m repro methods`` lists what is registered.
 """
 
-from repro.api.execution import RunReport, TrackPoint, replicate, run
+from repro.api.execution import (
+    MetricSummary,
+    RunReport,
+    TrackPoint,
+    execute,
+    replicate,
+    run,
+)
 from repro.api.ground_truth import GroundTruthCache
 from repro.api.sweep import (
     ANY,
@@ -71,6 +80,7 @@ __all__ = [
     "GpsPostStreamAdapter",
     "GroundTruthCache",
     "MethodSpec",
+    "MetricSummary",
     "RunReport",
     "RunSpec",
     "SweepCell",
@@ -79,6 +89,7 @@ __all__ = [
     "TrackPoint",
     "WeightSpec",
     "baseline_method_names",
+    "execute",
     "get_method",
     "get_weight",
     "method_names",

@@ -10,10 +10,15 @@ pass → estimates with error bars) is implemented exactly once:
 * **tracking pass** (``spec.checkpoints > 0``): the engine runs in
   lockstep with an exact prefix counter and records a
   :class:`TrackPoint` at every mark;
-* **replicated pass** (``spec.replications > 1``): the spec fans out
-  across the :class:`~repro.engine.ReplicatedRunner` process pool —
-  any registered method, not just GPS — and per-metric
-  :class:`~repro.engine.MetricSummary` error bars come back.
+* **replicated pass** (``spec.replications > 1``): the spec becomes R
+  single-pass specs seeded ``(stream_seed + i, sampler_seed + i)`` —
+  any registered method, sharded or not — run by :func:`execute`, and
+  per-metric :class:`MetricSummary` error bars come back.
+
+:func:`execute` is the one executor of every fan-out: replicated runs
+and sweep grids both hand it seeded single-pass specs and get one
+report per spec back, inline or from a fault-tolerant process pool,
+bit-identically either way.
 
 The resulting :class:`RunReport` is uniform across modes and methods and
 serialises to JSON for downstream tooling.
@@ -21,12 +26,13 @@ serialises to JSON for downstream tooling.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.registry import MethodSpec, get_method, get_weight
 from repro.api.spec import RunSpec
@@ -35,9 +41,21 @@ from repro.core.estimates import GraphEstimates
 from repro.core.in_stream import InStreamEstimator
 from repro.core.post_stream import PostStreamEstimator
 from repro.core.weights import WeightFunction, is_label_free
-from repro.engine.replication import MetricSummary, ReplicatedRunner
+from repro.engine.resilient import (
+    DEFAULT_RETRY_BUDGET,
+    RetryStats,
+    run_resilient,
+)
+from repro.engine.shared_edges import (
+    Descriptor,
+    SharedEdgePopulation,
+    shared_memory_available,
+)
 from repro.engine.stream_engine import EngineStats, StreamEngine
-from repro.streams.chunks import DEFAULT_CHUNK_SIZE
+from repro.faults.injector import coerce_injector
+from repro.stats.confidence import confidence_interval
+from repro.stats.running import RunningMoments
+from repro.streams.chunks import DEFAULT_CHUNK_SIZE, int32_labelled
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.exact import ExactStreamCounter
 from repro.graph.io import iter_edge_list
@@ -53,6 +71,49 @@ IN_STREAM_TYPES = (InStreamEstimator, CompactInStreamEstimator)
 # ----------------------------------------------------------------------
 # Report containers
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class MetricSummary:
+    """Mean / variance / normal CI of one metric across replications."""
+
+    mean: float
+    variance: float
+    std_error: float
+    ci_low: float
+    ci_high: float
+    count: int
+
+    def to_dict(self) -> Dict[str, float]:
+        """JSON-safe form; ``MetricSummary(**d)`` inverts it.
+
+        The one serialiser every report layer shares (:class:`RunReport`,
+        :class:`~repro.api.sweep.CellResult`), so the JSON schema cannot
+        fork between them.
+        """
+        return {
+            "mean": self.mean,
+            "variance": self.variance,
+            "std_error": self.std_error,
+            "ci_low": self.ci_low,
+            "ci_high": self.ci_high,
+            "count": self.count,
+        }
+
+    @classmethod
+    def from_values(
+        cls, values: Sequence[float], level: float = 0.95
+    ) -> "MetricSummary":
+        moments = RunningMoments()
+        moments.extend(values)
+        std_error = moments.std_error
+        low, high = confidence_interval(moments.mean, std_error**2, level=level)
+        return cls(
+            mean=moments.mean,
+            variance=moments.variance,
+            std_error=std_error,
+            ci_low=low,
+            ci_high=high,
+            count=moments.count,
+        )
 @dataclass(frozen=True)
 class TrackPoint:
     """State recorded at one tracking checkpoint."""
@@ -306,6 +367,24 @@ def _resolve_weight(
     return requested
 
 
+def _checked(
+    spec: RunSpec, weight_fn: Optional[WeightFunction]
+) -> Tuple[MethodSpec, Optional[WeightFunction]]:
+    """The spec's method and weight, rejecting bad combinations up front.
+
+    Runs before any source is resolved, so an unknown method, a weight
+    on a weight-free method or a sharded non-shardable method fails
+    before a replicated run starts any work.
+    """
+    method = get_method(spec.method)
+    resolved = _resolve_weight(spec, method, weight_fn)
+    if spec.shards > 1:
+        from repro.shard.runner import validate_shardable_method
+
+        validate_shardable_method(spec.method)
+    return method, resolved
+
+
 def _chunk_size_for(
     spec: RunSpec,
     method: MethodSpec,
@@ -317,8 +396,7 @@ def _chunk_size_for(
 
     The chunked pipeline engages only when every layer consents: the
     spec asked for it, neither the method nor the weight reads node
-    labels (mirroring the ``is_label_free`` gate of the shared-memory
-    dispatch — a label-reading configuration must see the stream's
+    labels (a label-reading configuration must see the stream's
     original tuples), the counter's admission gate is actually
     vectorised (``chunk_vectorized``; false for e.g. the in-stream
     estimator, whose per-arrival snapshot leaves nothing to gate), and
@@ -352,7 +430,6 @@ def _lazy_file_stream(spec: RunSpec, method: MethodSpec, graph: Optional[Any]):
         graph is not None
         or spec.stream_seed is not None
         or spec.checkpoints > 0
-        or spec.replications > 1
         or spec.shards > 1
         or method.needs_stream_length
     ):
@@ -394,9 +471,9 @@ def run(
         per mark, so off by default).
     faults:
         Optional :class:`~repro.faults.FaultPlan` (or shared
-        :class:`~repro.faults.FaultInjector`) consulted by pooled
-        dispatch (replicated site ``"replication"``, sharded site
-        ``"shard"``).  Chaos testing only; inline modes ignore it.
+        :class:`~repro.faults.FaultInjector`) consulted when a
+        replicated run fans out over the process pool (site
+        ``"replication"``).  Chaos testing only; inline runs ignore it.
 
     Example
     -------
@@ -406,8 +483,9 @@ def run(
     >>> report.mode, sorted(report.estimates)
     ('single', ['triangles'])
     """
-    method = get_method(spec.method)
-    resolved_weight = _resolve_weight(spec, method, weight_fn)
+    method, resolved_weight = _checked(spec, weight_fn)
+    if spec.replications > 1:
+        return _run_replicated(spec, graph, weight_fn, faults=faults)
 
     lazy = _lazy_file_stream(spec, method, graph)
     if lazy is not None:
@@ -426,10 +504,7 @@ def run(
     edges = _resolve_edges(spec.source, graph)
 
     if spec.shards > 1:
-        return _run_sharded(spec, edges, resolved_weight, faults=faults)
-
-    if spec.replications > 1:
-        return _run_replicated(spec, edges, resolved_weight, faults=faults)
+        return _run_sharded(spec, edges, resolved_weight)
 
     stream = _permute(edges, spec.stream_seed)
     counter = method.make(
@@ -482,33 +557,25 @@ def replicate(
         raise ValueError(
             "checkpoints and replicated execution are mutually exclusive"
         )
-    method = get_method(spec.method)
-    resolved_weight = _resolve_weight(spec, method, weight_fn)
-    edges = _resolve_edges(spec.source, graph)
-    if spec.shards > 1:
-        return _run_sharded(spec, edges, resolved_weight,
-                            force_replicate=True)
-    return _run_replicated(spec, edges, resolved_weight)
+    _checked(spec, weight_fn)
+    return _run_replicated(spec, graph, weight_fn)
 
 
 def _run_sharded(
     spec: RunSpec,
     edges: Sequence[Edge],
     weight_fn: Optional[WeightFunction],
-    force_replicate: bool = False,
-    faults: Optional[Any] = None,
 ) -> RunReport:
-    """Sharded dispatch: route across ``spec.shards`` samplers and merge.
+    """One sharded pass: route across ``spec.shards`` samplers and merge.
 
-    One pass per replication; every replication ``i`` shifts the stream
-    permutation (``stream_seed + i``) and the sampler-seed base
-    (``sampler_seed + i``; shard ``s`` then seeds ``base·shards + s``)
-    exactly like the replicated single-sampler protocol.
+    Shard ``s`` seeds its sampler with ``sampler_seed·shards + s``, so
+    the replications of a sharded study — single-pass specs whose
+    sampler seeds step by one — never share an RNG stream.
     """
     from repro.shard.runner import ShardedRunner
     from repro.shard.spec import ShardSpec
 
-    runner = ShardedRunner.from_layout(
+    result = ShardedRunner.from_layout(
         edges,
         ShardSpec(shards=spec.shards),
         budget=spec.budget,
@@ -518,114 +585,275 @@ def _run_sharded(
         sampler_seed=spec.sampler_seed,
         core=spec.core,
         pipeline=spec.pipeline,
-        workers=spec.workers,
-        faults=faults,
-    )
-    stats = ("triangles", "wedges", "clustering")
-    if spec.replications > 1 or force_replicate:
-        started = time.perf_counter()
-        values: List[Dict[str, float]] = []
-        workers_used = 0
-        pipeline = "scalar"
-        task_retries = 0
-        pool_rebuilds = 0
-        assert spec.stream_seed is not None  # spec validation enforces it
-        for i in range(spec.replications):
-            result = runner.run(
-                stream_seed=spec.stream_seed + i,
-                sampler_seed=spec.sampler_seed + i,
-            )
-            workers_used = max(workers_used, result.workers)
-            pipeline = result.pipeline
-            task_retries += result.task_retries
-            pool_rebuilds += result.pool_rebuilds
-            bundle = result.estimates
-            values.append(
-                {name: getattr(bundle, name).value for name in stats}
-            )
-        elapsed = time.perf_counter() - started
-        metrics = {
-            name: MetricSummary.from_values([v[name] for v in values])
-            for name in stats
-        }
-        total = len(edges) * spec.replications
-        return RunReport(
-            spec=spec,
-            mode="replicate",
-            edges=len(edges),
-            estimates={name: s.mean for name, s in metrics.items()},
-            metrics=metrics,
-            elapsed_seconds=elapsed,
-            update_time_us=elapsed / max(1, total) * 1e6,
-            edges_per_second=total / elapsed if elapsed > 0 else float("inf"),
-            replications=spec.replications,
-            workers=workers_used,
-            pipeline=pipeline,
-            task_retries=task_retries,
-            pool_rebuilds=pool_rebuilds,
-        )
-
-    result = runner.run()
+    ).run()
     bundle = result.estimates
     elapsed = result.elapsed_seconds
     return RunReport(
         spec=spec,
         mode="sharded",
         edges=result.edges,
-        estimates={name: getattr(bundle, name).value for name in stats},
+        estimates={
+            name: getattr(bundle, name).value
+            for name in ("triangles", "wedges", "clustering")
+        },
         elapsed_seconds=elapsed,
         update_time_us=elapsed / max(1, result.edges) * 1e6,
         edges_per_second=(
             result.edges / elapsed if elapsed > 0 else float("inf")
         ),
-        workers=result.workers,
         sample_size=bundle.sample_size,
         threshold=bundle.threshold,
         post_stream=bundle,
         pipeline=result.pipeline,
-        task_retries=result.task_retries,
-        pool_rebuilds=result.pool_rebuilds,
     )
 
 
 def _run_replicated(
     spec: RunSpec,
-    edges: Sequence[Edge],
+    graph: Optional[Any],
     weight_fn: Optional[WeightFunction],
     faults: Optional[Any] = None,
 ) -> RunReport:
-    runner = ReplicatedRunner(
-        edges,
-        capacity=spec.budget,
-        weight_fn=weight_fn,
-        replications=spec.replications,
-        max_workers=spec.workers,
-        base_stream_seed=spec.stream_seed,
-        base_sampler_seed=spec.sampler_seed,
-        method=spec.method,
-        core=spec.core,
-        pipeline=spec.pipeline,
-        faults=faults,
-    )
+    """R seeded single-pass specs on :func:`execute`, summarised per metric.
+
+    Replication ``i`` streams the permutation seeded ``stream_seed + i``
+    and seeds its method with ``sampler_seed + i``; the source resolves
+    once and every task reads that one population.
+    """
+    assert spec.stream_seed is not None  # spec validation enforces it
     started = time.perf_counter()
-    summary = runner.run()
+    edges = _resolve_edges(spec.source, graph)
+    tasks = [
+        spec.replace(
+            replications=1,
+            stream_seed=spec.stream_seed + i,
+            sampler_seed=spec.sampler_seed + i,
+        )
+        for i in range(spec.replications)
+    ]
+    workers = resolve_workers(spec.workers, len(tasks))
+    reports, stats = execute(
+        tasks,
+        workers=workers,
+        populations={spec.source: edges},
+        weight_fn=weight_fn,
+        faults=faults,
+        site="replication",
+    )
     elapsed = time.perf_counter() - started
+    metrics = summarise(reports)
     total = len(edges) * spec.replications
     return RunReport(
         spec=spec,
         mode="replicate",
         edges=len(edges),
-        estimates={name: s.mean for name, s in summary.metrics.items()},
-        metrics=dict(summary.metrics),
+        estimates={name: s.mean for name, s in metrics.items()},
+        metrics=metrics,
         elapsed_seconds=elapsed,
         update_time_us=elapsed / max(1, total) * 1e6,
         edges_per_second=total / elapsed if elapsed > 0 else float("inf"),
-        replications=summary.num_replications,
-        workers=summary.workers,
-        pipeline=summary.pipeline,
-        task_retries=summary.task_retries,
-        pool_rebuilds=summary.pool_rebuilds,
+        replications=spec.replications,
+        workers=workers,
+        pipeline=reports[0].pipeline,
+        task_retries=stats.task_retries,
+        pool_rebuilds=stats.pool_rebuilds,
     )
+
+
+def summarise(reports: Sequence[RunReport]) -> Dict[str, MetricSummary]:
+    """Per-metric :class:`MetricSummary` across replication reports.
+
+    The one aggregation rule of replicated runs and sweep cells: every
+    metric the first report carries, summarised over all reports in
+    order (Welford's order is part of the bit-exact contract).
+
+    Example
+    -------
+    >>> spec = RunSpec(source="a.txt")
+    >>> reports = [RunReport(spec=spec, mode="single", edges=3,
+    ...                      estimates={"triangles": value})
+    ...            for value in (1.0, 3.0)]
+    >>> summary = summarise(reports)["triangles"]
+    >>> summary.mean, summary.count
+    (2.0, 2)
+    """
+    return {
+        name: MetricSummary.from_values([r.estimates[name] for r in reports])
+        for name in reports[0].estimates
+    }
+
+
+# ----------------------------------------------------------------------
+# The executor
+# ----------------------------------------------------------------------
+def resolve_workers(workers: Optional[int], tasks: int) -> int:
+    """Pool size for ``tasks`` independent tasks; ``0`` means inline.
+
+    One task always runs inline.  ``None`` auto-sizes to
+    ``min(tasks, cpu, 8)``, floored at 2 when the machine has at least
+    2 cores so aggregation is exercised in parallel by default — but
+    never more processes than cores.  An explicit size is capped at the
+    task count.
+
+    Example
+    -------
+    >>> resolve_workers(4, 1), resolve_workers(4, 3), resolve_workers(0, 9)
+    (0, 3, 0)
+    """
+    if tasks <= 1:
+        return 0
+    if workers is None:
+        cpu = os.cpu_count() or 1
+        return max(min(2, cpu), min(tasks, cpu, 8))
+    return min(workers, tasks)
+
+
+def execute(
+    specs: Sequence[RunSpec],
+    *,
+    workers: int,
+    populations: Optional[Mapping[str, Sequence[Edge]]] = None,
+    weight_fn: Optional[WeightFunction] = None,
+    include_post: bool = False,
+    faults: Optional[Any] = None,
+    retry_budget: int = DEFAULT_RETRY_BUDGET,
+    site: str = "",
+) -> Tuple[List[RunReport], RetryStats]:
+    """Run independent single-pass specs; one report per spec, in order.
+
+    Each task is ``run(spec, graph=population)`` with the live counter
+    stripped from its report, so a task is a pure function of its spec
+    and the result is bit-identical inline (``workers=0``) and pooled.
+
+    Every distinct ``spec.source`` resolves once — from ``populations``
+    when the caller already holds it, else from the dataset registry or
+    the file.  Inline execution holds one source at a time (sweep specs
+    come grouped by source).  In pool mode a population whose labels
+    are all int32 ints is published once through
+    :class:`~repro.engine.shared_edges.SharedEdgePopulation` under its
+    own labels, and any other population travels in the pool
+    initializer's arguments; either way a label-reading weight or
+    router sees the original labels.  The pool is
+    :func:`~repro.engine.resilient.run_resilient`: failed tasks are
+    resubmitted up to ``retry_budget`` times, a broken pool is rebuilt
+    (re-publishing lost segments), ``faults`` are consulted at
+    ``site``, and every published segment is unlinked on success,
+    failure and KeyboardInterrupt.
+
+    Example
+    -------
+    >>> from repro.api import RunSpec
+    >>> from repro.graph.generators import erdos_renyi_gnm
+    >>> graph = erdos_renyi_gnm(30, 60, seed=0)
+    >>> specs = [RunSpec(source="g", method="triest", budget=20,
+    ...                  stream_seed=i) for i in range(3)]
+    >>> reports, stats = execute(specs, workers=0, populations={"g": graph})
+    >>> len(reports), stats.task_retries
+    (3, 0)
+    """
+    given = populations or {}
+
+    def population(source: str) -> List[Edge]:
+        return _resolve_edges(source, given.get(source))
+
+    if workers == 0:
+        reports: List[RunReport] = []
+        held, edges = None, None
+        for spec in specs:
+            if spec.source != held:
+                edges = None  # release the previous source first
+                held, edges = spec.source, population(spec.source)
+            reports.append(_run_task(spec, edges, weight_fn, include_post))
+        return reports, RetryStats()
+
+    edges_of = {
+        source: population(source)
+        for source in dict.fromkeys(spec.source for spec in specs)
+    }
+    published: List[SharedEdgePopulation] = []
+    shared: Dict[str, Descriptor] = {}
+
+    def publish(source: str) -> None:
+        segment = SharedEdgePopulation.publish(edges_of[source])
+        published.append(segment)
+        shared[source] = segment.descriptor
+
+    def initargs() -> Tuple[Any, ...]:
+        pickled = {s: e for s, e in edges_of.items() if s not in shared}
+        return (dict(shared), pickled, weight_fn, include_post)
+
+    def refresh() -> Optional[Tuple[Any, ...]]:
+        # A dead worker cannot unlink the parent's segments, but a
+        # platform cleanup can; probe each one and republish the lost.
+        lost = []
+        for source, descriptor in shared.items():
+            try:
+                SharedEdgePopulation.attach(descriptor)
+            except (OSError, ValueError):
+                lost.append(source)
+        for source in lost:
+            publish(source)
+        return initargs() if lost else None
+
+    try:
+        if shared_memory_available():
+            for source, edges in edges_of.items():
+                if int32_labelled(edges):
+                    publish(source)
+        return run_resilient(
+            _pool_task,
+            list(specs),
+            workers=workers,
+            initializer=_pool_initializer,
+            initargs=initargs(),
+            retry_budget=retry_budget,
+            injector=coerce_injector(faults),
+            site=site,
+            refresh=refresh,
+        )
+    finally:
+        for segment in published:
+            segment.close()
+            segment.unlink()
+
+
+def _run_task(
+    spec: RunSpec,
+    edges: Any,
+    weight_fn: Optional[WeightFunction],
+    include_post: bool,
+) -> RunReport:
+    """One executor task: a single pass over the held population."""
+    report = run(spec, graph=edges, weight_fn=weight_fn,
+                 include_post=include_post)
+    return dataclasses.replace(report, counter=None)
+
+
+# Per-worker state, set once by the pool initializer: every source's
+# population plus the options shared by all tasks of one execute().
+_WORKER_STATE: Tuple[Dict[str, Any], Optional[WeightFunction], bool] = (
+    {}, None, False,
+)
+
+
+def _pool_initializer(
+    shared: Dict[str, Descriptor],
+    pickled: Dict[str, Any],
+    weight_fn: Optional[WeightFunction],
+    include_post: bool,
+) -> None:
+    """Attach each published population once per worker."""
+    global _WORKER_STATE
+    populations = dict(pickled)
+    for source, descriptor in shared.items():
+        populations[source] = SharedEdgePopulation.attach(descriptor)
+    _WORKER_STATE = (populations, weight_fn, include_post)
+
+
+def _pool_task(spec: RunSpec) -> RunReport:
+    """Worker entry point (module-level, so the pool can pickle it)."""
+    populations, weight_fn, include_post = _WORKER_STATE
+    return _run_task(spec, populations[spec.source], weight_fn, include_post)
 
 
 def _run_tracking(
@@ -715,4 +943,13 @@ def _finish_report(
     )
 
 
-__all__ = ["RunReport", "TrackPoint", "replicate", "run"]
+__all__ = [
+    "MetricSummary",
+    "RunReport",
+    "TrackPoint",
+    "execute",
+    "replicate",
+    "resolve_workers",
+    "run",
+    "summarise",
+]

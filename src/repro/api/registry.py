@@ -11,7 +11,8 @@ plus a metric extractor mapping the finished counter to named point
 estimates.  Budget matching therefore stays per-method but open for
 extension: third parties register new methods with
 :func:`register_method` and every entry point (``run(spec)``, the CLI,
-replication pools, the table harnesses) can drive them immediately.
+replicated runs and sweeps, the table harnesses) can drive them
+immediately.
 
 Weight functions get the same treatment via :func:`register_weight`, so
 ``--weight`` choices and :class:`~repro.api.spec.RunSpec` fields are
@@ -106,11 +107,11 @@ class MethodSpec:
     reads_labels:
         Whether the method's counter or metric extractor observes node
         *labels* (as opposed to just graph topology).  Every built-in
-        method is label-free, which licenses the replication/sweep
-        pools' interned (dense-``int32``) dispatch; a third-party method
-        that e.g. reports per-label statistics must register with
-        ``reads_labels=True`` to keep original labels (and pickled
-        dispatch) in those pools.
+        method is label-free, which licenses the chunked (columnar)
+        pipeline; a third-party method that e.g. reports per-label
+        statistics must register with ``reads_labels=True`` to keep the
+        scalar tuple path.  Populations always reach methods under
+        their original labels, pooled or inline.
     """
 
     name: str
@@ -422,7 +423,7 @@ class GpsPostStreamAdapter:
         return self.sampler.process_many(pairs_from_columns(us, vs))
 
     def reset(self, seed=None) -> None:
-        """Arena reuse hook; raises when the wrapped core has no reset."""
+        """Reuse hook; raises when the wrapped core has no reset."""
         self.sampler.reset(seed)
 
     @property

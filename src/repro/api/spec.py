@@ -49,10 +49,13 @@ class RunSpec:
         Number of evenly spaced tracking marks; ``0`` disables tracking.
     replications:
         Independent ``(stream_seed + i, sampler_seed + i)`` repetitions;
-        values > 1 run the error-bar protocol through the process pool.
+        values > 1 run the error-bar protocol, one single-pass task per
+        replication.
     workers:
-        Process-pool size for replicated runs (``0`` inline, ``None``
-        auto-sized); ignored for single passes.
+        Process-pool size of a replicated run (``replications > 1``):
+        ``0`` runs the replications inline, ``None`` auto-sizes.  It
+        sizes nothing else — a single pass, sharded or not, always runs
+        in the calling process.
     core:
         GPS reservoir implementation for core-aware methods:
         ``"compact"`` (default, slot-based struct-of-arrays) or

@@ -9,8 +9,9 @@ grid into one declarative value object (JSON round trip included, like
 cells, and :func:`run_sweep` executes them through the existing
 ``run(spec)`` machinery with
 
-* a shared :class:`~concurrent.futures.ProcessPoolExecutor` across all
-  cells (``workers=0`` runs inline, bit-identically);
+* one :func:`~repro.api.execution.execute` call for every pending
+  replication of every cell — a shared process pool, or inline with
+  ``workers=0``, bit-identically — with each source resolved once;
 * a content-addressed :class:`~repro.api.ground_truth.GroundTruthCache`
   so exact statistics are computed once per source and reused by every
   cell of the grid — and by every later sweep pointed at the same cache
@@ -46,7 +47,13 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.api.execution import RunReport, _resolve_edges, run
+from repro.api.execution import (
+    MetricSummary,
+    RunReport,
+    execute,
+    resolve_workers,
+    summarise,
+)
 from repro.api.ground_truth import (
     ContentAddressedStore,
     GroundTruthCache,
@@ -54,23 +61,12 @@ from repro.api.ground_truth import (
 )
 from repro.api.spec import RunSpec
 from repro.core.compact import CORES, DEFAULT_CORE
-from repro.core.weights import is_label_free
-from repro.engine.resilient import (
-    DEFAULT_RETRY_BUDGET,
-    RetryStats,
-    run_resilient,
-)
+from repro.engine.resilient import DEFAULT_RETRY_BUDGET
 from repro.engine.stream_engine import DEFAULT_PIPELINE, PIPELINES
-from repro.engine.replication import MetricSummary, default_max_workers
 from repro.faults.corruption import corrupt_entry
 from repro.faults.injector import FaultInjector, coerce_injector
-from repro.engine.shared_edges import (
-    SharedEdgePopulation,
-    shared_memory_available,
-)
 from repro.graph.exact import GraphStatistics
 from repro.stats.metrics import absolute_relative_error
-from repro.streams.interner import NodeInterner
 
 #: Axes a per-source override may replace.
 _OVERRIDE_AXES = ("budgets", "methods", "runs", "shards", "weights")
@@ -635,72 +631,6 @@ class SweepReport:
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-# Per-worker cache of attached shared-memory edge populations,
-# ``{source: interned edge list}`` — populated once by the pool
-# initializer, read by every task the worker executes.
-_SWEEP_EDGES: Dict[str, List[Tuple[int, int]]] = {}
-
-
-def _sweep_pool_initializer(descriptors: Dict[str, Any]) -> None:
-    """Attach each published source once per worker (zero-copy setup)."""
-    global _SWEEP_EDGES
-    _SWEEP_EDGES = {
-        source: SharedEdgePopulation.attach(descriptor)
-        for source, descriptor in descriptors.items()
-    }
-
-
-def _execute_payload(payload: Tuple[Dict[str, Any], bool]) -> RunReport:
-    """Worker entry point: one cell replication (module-level: picklable).
-
-    When the parent published the cell's source through shared memory,
-    the worker streams the attached interned population instead of
-    re-resolving the source (re-reading the file / regenerating the
-    graph) for every task — interning is a pure relabelling, so the
-    report is bit-identical.  The live counter is stripped from the
-    report — it does not cross the process boundary and sweep
-    aggregation never reads it.
-    """
-    spec_dict, include_post = payload
-    run_spec = RunSpec.from_dict(spec_dict)
-    edges = _SWEEP_EDGES.get(run_spec.source)
-    if edges is None:
-        report = run(run_spec, include_post=include_post)
-    else:
-        report = run(run_spec, graph=edges, include_post=include_post)
-    return dataclasses.replace(report, counter=None)
-
-
-def _grid_label_free(spec: SweepSpec) -> bool:
-    """Whether every method and named weight in the grid ignores labels.
-
-    Methods registered with ``reads_labels=True`` disqualify the whole
-    grid from interned dispatch.  ``None`` weight cells use the method's
-    own default weight; every built-in default is label-free (the GPS
-    family defaults to the triangle weight), so ``None`` passes —
-    third-party methods with label-reading *default* weights should
-    register ``reads_labels=True`` or name their weights explicitly.
-    """
-    from repro.api.registry import get_method, get_weight
-
-    method_names = {
-        method
-        for source in spec.sources
-        for method in spec._axis(source, "methods")
-    }
-    if any(get_method(name).reads_labels for name in method_names):
-        return False
-    weight_names = {
-        weight
-        for source in spec.sources
-        for weight in spec._axis(source, "weights")
-        if weight is not None
-    }
-    return all(
-        is_label_free(get_weight(name).factory()) for name in weight_names
-    )
-
-
 def cell_report_key(
     spec: RunSpec, include_post: bool, source_key: str
 ) -> str:
@@ -852,18 +782,15 @@ def run_sweep(
         else:
             pending.append((c, r, run_spec))
 
-    workers = _resolve_workers(spec.workers, len(pending))
-    payloads = [
-        (run_spec.to_dict(), spec.include_post) for _, _, run_spec in pending
-    ]
-    if workers == 0:
-        fresh = [_execute_payload(payload) for payload in payloads]
-        retry_stats = RetryStats()
-    else:
-        fresh, retry_stats = _execute_pooled(
-            spec, pending, payloads, workers,
-            injector=injector, retry_budget=retry_budget,
-        )
+    workers = resolve_workers(spec.workers, len(pending))
+    fresh, retry_stats = execute(
+        [run_spec for _, _, run_spec in pending],
+        workers=workers,
+        include_post=spec.include_post,
+        faults=injector,
+        retry_budget=retry_budget,
+        site="sweep",
+    )
     for (c, r, run_spec), report in zip(pending, fresh):
         reports[(c, r)] = report
         cached[(c, r)] = False
@@ -922,82 +849,6 @@ def _apply_cache_faults(injector: FaultInjector, root: Path) -> None:
         )
 
 
-def _execute_pooled(
-    spec: SweepSpec,
-    pending: Sequence[Tuple[int, int, RunSpec]],
-    payloads: Sequence[Tuple[Dict[str, Any], bool]],
-    workers: int,
-    *,
-    injector: Optional[FaultInjector] = None,
-    retry_budget: int = DEFAULT_RETRY_BUDGET,
-) -> Tuple[List[RunReport], RetryStats]:
-    """Run pending replications on the shared pool.
-
-    The distinct pending sources are interned and published once via
-    shared memory; each worker attaches in its initializer, so per-task
-    payloads stay spec dicts and no worker ever re-reads a source.  The
-    segments are unlinked in a ``finally`` — success, worker failure and
-    KeyboardInterrupt all clean up.  Sources fall back to per-worker
-    resolution when shared memory is unavailable or a grid weight reads
-    node labels.
-    """
-    populations: List[SharedEdgePopulation] = []
-    current: Dict[str, SharedEdgePopulation] = {}
-    edges_of: Dict[str, List[Tuple[int, int]]] = {}
-
-    def publish(source: str) -> None:
-        population = SharedEdgePopulation.publish(edges_of[source])
-        populations.append(population)
-        current[source] = population
-
-    def descriptors() -> Tuple[Dict[str, Any]]:
-        return ({src: pop.descriptor for src, pop in current.items()},)
-
-    def refresh() -> Optional[Tuple[Dict[str, Any]]]:
-        # Re-publish any source whose segment a platform cleanup took
-        # with the crashed worker (a worker itself never unlinks).
-        lost = []
-        for source, population in current.items():
-            try:
-                SharedEdgePopulation.attach(population.descriptor)
-            except (OSError, ValueError):
-                lost.append(source)
-        for source in lost:
-            publish(source)
-        return descriptors() if lost else None
-
-    try:
-        if shared_memory_available() and _grid_label_free(spec):
-            for source in dict.fromkeys(rs.source for _, _, rs in pending):
-                edges_of[source] = NodeInterner().intern_edges(
-                    _resolve_edges(source, None)
-                )
-                publish(source)
-        return run_resilient(
-            _execute_payload,
-            list(payloads),
-            workers=workers,
-            initializer=_sweep_pool_initializer,
-            initargs=descriptors(),
-            retry_budget=retry_budget,
-            injector=injector,
-            site="sweep",
-            refresh=refresh,
-        )
-    finally:
-        for population in populations:
-            population.close()
-            population.unlink()
-
-
-def _resolve_workers(workers: Optional[int], pending: int) -> int:
-    if pending <= 1:
-        return 0
-    if workers is None:
-        return default_max_workers(pending)
-    return min(workers, pending)
-
-
 def _apply_budget_policy(
     spec: SweepSpec,
     cells: Tuple[SweepCell, ...],
@@ -1045,10 +896,7 @@ def _aggregate_cell(
     truth: GraphStatistics,
     cached_runs: int,
 ) -> CellResult:
-    metrics = {
-        name: MetricSummary.from_values([r.estimates[name] for r in reports])
-        for name in reports[0].estimates
-    }
+    metrics = summarise(reports)
     try:
         triangle_values = [r.triangle_estimate for r in reports]
     except KeyError:

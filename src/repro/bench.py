@@ -24,11 +24,10 @@ Every payload carries the same envelope — ``benchmark``, ``mode``
   steady-state stream (budget ≪ stream length — the regime GPS runs in
   and the gate targets) *and* on the legacy admit-heavy envelope, with
   the same shared-seed identity assert.
-* **replication** measures worker fan-out setup vs graph size: the
-  bytes and serialisation time of the legacy pickled per-worker payload
-  (linear in |K|) against the shared-memory publish/attach path, whose
-  per-task payload is a fixed-size descriptor; plus an end-to-end
-  replicated run under both dispatches, asserted bit-identical.
+* **replication** times a replicated ``run(spec)`` (gps-post, 4
+  replications, uniform and triangle weights) inline against the
+  executor's 2-worker pool on the same graph, best of 3 alternating
+  repeats, asserting the two bit-identical.
 * **sweep** measures the grid layer: a cold sweep into a fresh cache
   versus the same sweep resumed from it (ground truth and cell reports
   replayed, no recount).
@@ -54,7 +53,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import pickle
 import platform
 import sys
 import tempfile
@@ -302,95 +300,58 @@ def _bench_chunked(quick: bool, repeats: int) -> Dict:
 # replication
 # ----------------------------------------------------------------------
 def bench_replication(quick: bool) -> Dict:
-    """Worker-dispatch setup cost vs graph size, plus end-to-end runs."""
-    from repro.engine.replication import ReplicatedRunner
-    from repro.engine.shared_edges import SharedEdgePopulation
+    """Inline vs pooled replicated runs on one graph, bit-identical."""
+    from repro.api.execution import run
+    from repro.api.spec import RunSpec
     from repro.graph.generators import chung_lu
-    from repro.streams.interner import NodeInterner
-    from repro.streams.stream import EdgeStream
 
-    sizes = [5_000, 20_000] if quick else [25_000, 50_000, 100_000, 200_000]
-    ladder: List[Dict] = []
-    for num_edges in sizes:
-        graph = chung_lu(max(200, num_edges // 5), num_edges,
-                         exponent=2.3, seed=42)
-        edges = tuple(
-            NodeInterner().intern_edges(EdgeStream.canonical_edges(graph))
-        )
-        gc.collect()
-        # Legacy pickled dispatch: every worker deserialises the full
-        # population (and under spawn the parent serialises it per
-        # worker) — O(|K|) each way.
-        started = time.perf_counter()
-        payload = pickle.dumps(edges)
-        pickle.loads(payload)
-        pickle_seconds = time.perf_counter() - started
-        # Shared dispatch: publish once, attach per worker; the per-task
-        # payload is the fixed-size descriptor.
-        started = time.perf_counter()
-        population = SharedEdgePopulation.publish(edges)
-        publish_seconds = time.perf_counter() - started
-        try:
-            descriptor = population.descriptor
-            started = time.perf_counter()
-            attached = SharedEdgePopulation.attach(descriptor)
-            attach_seconds = time.perf_counter() - started
-            assert attached == list(edges)
-        finally:
-            population.close()
-            population.unlink()
-        ladder.append({
-            "edges": len(edges),
-            "pickle_payload_bytes": len(payload),
-            "pickle_roundtrip_seconds": round(pickle_seconds, 6),
-            "shared_task_payload_bytes": len(pickle.dumps(descriptor)),
-            "shared_publish_seconds": round(publish_seconds, 6),
-            "shared_attach_seconds": round(attach_seconds, 6),
-        })
-        print(
-            f"|K|={len(edges):>7,}  pickle {len(payload):>12,}B "
-            f"{pickle_seconds * 1e3:8.2f}ms   shared task payload "
-            f"{ladder[-1]['shared_task_payload_bytes']:>4}B  "
-            f"publish {publish_seconds * 1e3:6.2f}ms  "
-            f"attach {attach_seconds * 1e3:6.2f}ms"
-        )
-
-    # End-to-end: the same replicated study under both dispatches must
-    # be bit-identical; report its throughput.
-    graph = chung_lu(2_000 if quick else 10_000,
-                     10_000 if quick else 50_000, exponent=2.3, seed=42)
-    capacity = 1_000 if quick else 4_000
-    replications = 2 if quick else 4
-    end_to_end: Dict[str, Dict[str, float]] = {}
-    summaries = {}
-    for dispatch in ("shared", "pickle"):
-        runner = ReplicatedRunner(
-            graph, capacity=capacity, replications=replications,
-            max_workers=1, method="gps-post", dispatch=dispatch,
-        )
-        gc.collect()
-        started = time.perf_counter()
-        summary = runner.run()
-        elapsed = time.perf_counter() - started
-        summaries[dispatch] = summary
-        total = graph.num_edges * replications
-        end_to_end[dispatch] = {
-            "elapsed_seconds": round(elapsed, 4),
-            "edges_per_sec": round(total / elapsed, 1),
+    # Full size is the steady-state stream of the engine and shard
+    # ladders (|K| = 200k), where a task is long enough to amortise the
+    # pool's start-up.
+    graph = (chung_lu(2_000, 10_000, exponent=2.3, seed=42) if quick
+             else chung_lu(40_000, 200_000, exponent=2.3, seed=43))
+    workers = 2
+    base = RunSpec(source="chung-lu", method="gps-post",
+                   budget=1_000 if quick else 4_000, replications=4)
+    repeats = 1 if quick else 3
+    total = graph.num_edges * base.replications
+    results: Dict[str, Dict] = {}
+    for weight in ("uniform", "triangle"):
+        reports = {}
+        best = {"inline": float("inf"), "pooled": float("inf")}
+        for _ in range(repeats):  # alternate modes; keep each one's best
+            for mode, size in (("inline", 0), ("pooled", workers)):
+                gc.collect()
+                started = time.perf_counter()
+                reports[mode] = run(
+                    base.replace(weight=weight, workers=size), graph=graph
+                )
+                best[mode] = min(best[mode], time.perf_counter() - started)
+        rung: Dict[str, Dict] = {
+            mode: {
+                "elapsed_seconds": round(elapsed, 4),
+                "edges_per_sec": round(total / elapsed, 1),
+            }
+            for mode, elapsed in best.items()
         }
-        print(f"end-to-end {dispatch:<7} {elapsed:6.2f}s  "
-              f"{total / elapsed:>12,.0f} e/s")
-    for name in summaries["shared"].metrics:
-        assert (
-            summaries["shared"].metrics[name].mean
-            == summaries["pickle"].metrics[name].mean
-        ), f"dispatch mismatch on {name}"
+        inline, pooled = reports["inline"], reports["pooled"]
+        assert pooled.metrics == inline.metrics, f"{weight}: pool != inline"
+        assert pooled.estimates == inline.estimates
+        rung["pooled_speedup"] = round(
+            rung["inline"]["elapsed_seconds"]
+            / rung["pooled"]["elapsed_seconds"], 3
+        )
+        rung["pipeline"] = inline.pipeline
+        results[weight] = rung
+        print(f"{weight:<9} inline {rung['inline']['elapsed_seconds']:6.2f}s"
+              f"   pooled({workers}) {rung['pooled']['elapsed_seconds']:6.2f}s"
+              f"   {rung['pooled_speedup']:.2f}x  [{inline.pipeline}]")
     return _envelope(
         "replication", quick,
-        params={"sizes": sizes, "end_to_end_edges": graph.num_edges,
-                "capacity": capacity, "replications": replications,
-                "workers": 1, "method": "gps-post"},
-        results={"setup_vs_size": ladder, "end_to_end": end_to_end},
+        params={"edges": graph.num_edges, "budget": base.budget,
+                "replications": base.replications, "workers": workers,
+                "method": base.method, "repeats": repeats},
+        results={"end_to_end": results},
     )
 
 
@@ -713,7 +674,7 @@ def bench_shard(quick: bool, repeats: Optional[int] = None) -> Dict:
             single_rate = fleet_rate
         runner = ShardedRunner(
             edges, shards=shards, budget=budget, method="gps-post",
-            weight_fn=UniformWeight(), workers=0,
+            weight_fn=UniformWeight(),
         )
         inline = runner.run()
         rung = {
@@ -739,7 +700,7 @@ def bench_shard(quick: bool, repeats: Optional[int] = None) -> Dict:
     for shards in ladder:
         runner = ShardedRunner(
             accuracy_edges, shards=shards, budget=accuracy_budget,
-            method="gps-post", workers=0,
+            method="gps-post",
         )
         estimates = [
             runner.run(stream_seed=i, sampler_seed=1 + i)

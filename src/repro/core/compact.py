@@ -394,8 +394,8 @@ class CompactGraphPrioritySampler:
         Bit-identical to building a new sampler with the same
         ``(capacity, weight_fn, seed)``: the RNG is reseeded, the heap,
         adjacency and counters are cleared, and the slot arrays are
-        reused in place — the reuse that keeps replication-worker
-        arenas warm across tasks (:mod:`repro.engine.replication`).
+        reused in place, so many passes of one configuration allocate
+        them once.
 
         >>> sampler = CompactGraphPrioritySampler(capacity=4, seed=1)
         >>> sampler.process_many([(0, 1), (1, 2)])

@@ -2,21 +2,14 @@
 
 ``StreamEngine`` is the one loop that feeds arrivals to counters (batched
 through ``process_many`` fast paths where available) and fires checkpoint
-callbacks; ``ReplicatedRunner`` fans independent multi-seed replications
-of any registered method across worker processes and aggregates mean /
-variance / confidence intervals — the paper's error-bar protocol.  The
-edge population reaches workers zero-copy through
-:mod:`repro.engine.shared_edges`: interned once, published once via
-shared memory, attached per worker — per-task payloads stay seed pairs.
+callbacks.  The fan-out machinery under the executor
+(:func:`repro.api.execution.execute`) lives here too:
+:func:`run_resilient`, the fault-tolerant process pool, and
+:mod:`repro.engine.shared_edges`, which publishes an int-labelled edge
+population once through shared memory so per-worker setup stays a
+fixed-size descriptor.
 """
 
-from repro.engine.replication import (
-    MetricSummary,
-    ReplicatedRunner,
-    ReplicatedSummary,
-    ReplicationResult,
-    default_max_workers,
-)
 from repro.engine.resilient import (
     DEFAULT_REBUILD_BUDGET,
     DEFAULT_RETRY_BUDGET,
@@ -42,14 +35,9 @@ __all__ = [
     "PIPELINES",
     "EngineStats",
     "validate_pipeline",
-    "MetricSummary",
-    "ReplicatedRunner",
-    "ReplicatedSummary",
-    "ReplicationResult",
     "RetryStats",
     "SharedEdgePopulation",
     "StreamEngine",
-    "default_max_workers",
     "run_resilient",
     "shared_memory_available",
 ]

@@ -1,30 +1,19 @@
-"""Zero-copy publication of interned edge populations to worker pools.
+"""Zero-copy publication of int-labelled edge populations to worker pools.
 
-The replication protocol is embarrassingly parallel, but its per-worker
-*setup* used to scale with the graph: every worker received the full
-edge population as pickled Python tuples (O(|K|) bytes serialised,
-shipped and rebuilt per worker — and per task in the sweep pool, which
-re-resolved the source file for every cell replication).  This module
-removes that scaling term:
+Every task of the executor (:func:`repro.api.execution.execute`) streams
+a seeded permutation of one shared edge population.  Shipping that
+population to each worker as pickled tuples costs O(|K|) per worker;
+this module makes the per-worker cost a fixed-size descriptor instead:
 
-* the parent interns the population to dense ``int32`` ids
-  (:mod:`repro.streams.interner`) and publishes the flat id array
-  **once** through :mod:`multiprocessing.shared_memory`;
+* the parent publishes the flat ``int32`` label array **once** through
+  :mod:`multiprocessing.shared_memory` — only populations whose labels
+  already are int32 ints (:func:`repro.streams.chunks.int32_labelled`),
+  so nothing is relabelled and every label-reading weight or router
+  downstream sees the original labels;
 * each worker attaches to the segment by name — the only thing that
   crosses the process boundary is a ``(segment name, edge count)``
-  descriptor of a few dozen bytes — copies the ids out, and closes its
-  mapping;
-* per-task payloads stay seed pairs, so replication setup time is flat
-  in graph size (``BENCH_replication.json`` tracks this).
-
-Estimates are unaffected: interning is a relabelling, every metric in
-the repo is label-free, and workers permute the interned array with the
-same seeded shuffle they applied to label tuples — so shared-memory
-results are bit-identical to the pickled path (enforced by
-``tests/test_shared_edges.py``).  Weight functions that *do* read labels
-(:class:`~repro.core.weights.AttributeWeight`, custom callables) are
-detected via :func:`repro.core.weights.is_label_free` and keep the
-pickled dispatch.
+  descriptor of a few dozen bytes — copies the labels out, and closes
+  its mapping.
 
 Lifecycle: the publishing side owns the segment and must
 :meth:`~SharedEdgePopulation.unlink` it (use the context manager — it
@@ -66,7 +55,8 @@ class SharedEdgePopulation:
 
     Examples
     --------
-    >>> with SharedEdgePopulation.publish([(0, 1), (1, 2)]) as shared:
+    >>> publish = SharedEdgePopulation.publish
+    >>> with publish([(0, 1), (1, 2)]) as shared:
     ...     edges = SharedEdgePopulation.attach(shared.descriptor)
     >>> edges
     [(0, 1), (1, 2)]
@@ -85,7 +75,7 @@ class SharedEdgePopulation:
     def publish(
         cls, edges: Sequence[InternedEdge]
     ) -> "SharedEdgePopulation":
-        """Copy ``edges`` (interned int pairs) into a new shared segment."""
+        """Copy ``edges`` (int32-range int pairs) into a new shared segment."""
         if _shared_memory is None:  # pragma: no cover
             raise RuntimeError("multiprocessing.shared_memory is unavailable")
         flat = array(_TYPECODE, chain.from_iterable(edges))
@@ -151,39 +141,6 @@ class SharedEdgePopulation:
         finally:
             shm.close()
         return list(zip(flat[0::2], flat[1::2]))
-
-    @staticmethod
-    def attach_columnar(descriptor: Descriptor):
-        """Rebuild the population as ``(u, v)`` int32 numpy columns.
-
-        The chunked-pipeline sibling of :meth:`attach`: the published
-        flat array maps straight onto the columnar block shape
-        ``process_chunk`` consumes, so a worker on the chunked pipeline
-        never materialises Python tuples at all.  Returns ``None`` when
-        numpy is unavailable (callers then :meth:`attach` tuples).
-        Like :meth:`attach`, the ids are copied out and the mapping is
-        closed immediately.
-        """
-        if _shared_memory is None:  # pragma: no cover
-            raise RuntimeError("multiprocessing.shared_memory is unavailable")
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover
-            return None
-        name, num_edges = descriptor
-        shm = _shared_memory.SharedMemory(name=name)
-        try:
-            # bytes() copies out of the segment, so no numpy view keeps
-            # the mapping alive past close() (which would BufferError).
-            payload = bytes(shm.buf[: 2 * num_edges * _ITEMSIZE])
-        finally:
-            shm.close()
-        dtype = np.int32 if _ITEMSIZE == 4 else np.int64
-        pairs = np.frombuffer(payload, dtype=dtype).reshape(num_edges, 2)
-        return (
-            np.ascontiguousarray(pairs[:, 0], dtype=np.int32),
-            np.ascontiguousarray(pairs[:, 1], dtype=np.int32),
-        )
 
 
 __all__ = [

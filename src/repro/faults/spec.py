@@ -59,8 +59,8 @@ class FaultSpec:
         One of :data:`FAULT_KINDS`.
     site:
         Injection-site label (``"replication"``, ``"sweep"``,
-        ``"shard"``, ``"serve-source"``, ...); ``""`` matches every
-        site that consults the plan.
+        ``"serve-source"``, ...); ``""`` matches every site that
+        consults the plan.
     at:
         Zero-based trigger index: the pool task index for task kinds,
         the delivered-block index for source kinds (the fault fires at

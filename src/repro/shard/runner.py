@@ -19,12 +19,10 @@ One sharded pass is:
    pass; the result assembles into an ordinary
    :class:`~repro.core.estimates.GraphEstimates` bundle.
 
-Inline mode (``workers=0``) runs the shards sequentially in-process —
-the deterministic test path.  Pool mode fans shards across a
-:class:`~concurrent.futures.ProcessPoolExecutor` over the existing
-shared-memory edge population (publish once, attach per worker);
-results are bit-identical to inline because every worker replays the
-same permutation and routing on the same columns.
+A pass is one unit of work: the S shards are driven one after another
+in the calling process.  Parallelism lives one level up — the replicated
+runs and sweep grids that contain sharded passes fan them out through
+:func:`repro.api.execution.execute`, one task per pass.
 """
 
 from __future__ import annotations
@@ -32,19 +30,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.compact import DEFAULT_CORE, validate_core
 from repro.core.estimates import GraphEstimates
 from repro.core.reservoir import snapshot_view
 from repro.core.weights import WeightFunction, is_label_free
-from repro.engine.resilient import (
-    DEFAULT_RETRY_BUDGET,
-    RetryStats,
-    run_resilient,
-)
-from repro.engine.shared_edges import SharedEdgePopulation
-from repro.faults.injector import coerce_injector
 from repro.engine.stream_engine import (
     DEFAULT_PIPELINE,
     StreamEngine,
@@ -94,14 +86,9 @@ class ShardedResult:
     shards: int
     elapsed_seconds: float
     pipeline: str  # "chunked" | "scalar" — the per-shard drive used
-    workers: int
     shard_edges: Tuple[int, ...]
     shard_sample_sizes: Tuple[int, ...]
     shard_thresholds: Tuple[float, ...]
-    #: Fault-tolerance cost: shard tasks resubmitted after worker failure.
-    task_retries: int = 0
-    #: Fault-tolerance cost: executors rebuilt after BrokenProcessPool.
-    pool_rebuilds: int = 0
 
 
 class _ColumnStream:
@@ -159,50 +146,6 @@ def _drive_shard(counter: Any, substream, chunked: bool):
     return engine.run(substream).edges
 
 
-# ----------------------------------------------------------------------
-# Process-pool plumbing (shared-memory fan-out, one task per shard)
-# ----------------------------------------------------------------------
-_SHARD_STATE: Optional[Tuple] = None
-
-
-def _shard_pool_initializer(
-    descriptor,
-    shards: int,
-    router_seed: int,
-    capacity: int,
-    weight_fn: Optional[WeightFunction],
-    method: str,
-    core: str,
-    stream_seed: Optional[int],
-    sampler_seed: int,
-) -> None:
-    """Attach the published columns once per worker; permute once too."""
-    global _SHARD_STATE
-    columns = SharedEdgePopulation.attach_columnar(descriptor)
-    us, vs = _permuted_columns(columns, stream_seed)
-    ids = shard_columns(us, vs, shards, router_seed)
-    _SHARD_STATE = (
-        us, vs, ids, shards, router_seed, capacity, weight_fn, method,
-        core, sampler_seed,
-    )
-
-
-def _run_shard_task(shard: int):
-    """Worker entry point: drive one shard and report its reservoir."""
-    (us, vs, ids, shards, _router_seed, capacity, weight_fn, method,
-     core, sampler_seed) = _SHARD_STATE
-    mask = ids == shard
-    sub_us = us[mask]
-    sub_vs = vs[mask]
-    counter = _get_method(method).make(
-        capacity, len(sub_us), sampler_seed * shards + shard,
-        weight_fn=weight_fn, core=core,
-    )
-    edges = _drive_shard(counter, _ColumnStream(sub_us, sub_vs), chunked=True)
-    records, sample_size, threshold = _extract_sample(counter)
-    return shard, records, sample_size, threshold, edges
-
-
 class ShardedRunner:
     """Partition a stream across ``S`` GPS samplers and merge the HT sums.
 
@@ -226,11 +169,9 @@ class ShardedRunner:
         ``sampler_seed`` by one) never collide with shard offsets.
     router_seed:
         Seed of the edge-hash partition.
-    workers:
-        ``0`` runs shards inline (sequential, deterministic test path);
-        ``None`` auto-sizes ``min(shards, cpu)``; ``> 0`` caps the pool.
-        The pool path requires a columnar (int-labelled) stream and a
-        chunk-capable configuration; anything else falls back inline.
+
+    A pass drives the shards one after another in the calling process;
+    replicated runs and sweeps parallelise across passes instead.
 
     Example
     -------
@@ -254,14 +195,9 @@ class ShardedRunner:
         router_seed: int = 0,
         core: str = DEFAULT_CORE,
         pipeline: str = DEFAULT_PIPELINE,
-        workers: Optional[int] = 0,
-        faults=None,
-        retry_budget: int = DEFAULT_RETRY_BUDGET,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if retry_budget < 0:
-            raise ValueError("retry_budget must be non-negative")
         if budget < shards or budget % shards != 0:
             raise ValueError(
                 f"budget ({budget}) must divide evenly across the "
@@ -270,8 +206,6 @@ class ShardedRunner:
         validate_shardable_method(method)
         validate_core(core)
         validate_pipeline(pipeline)
-        if workers is not None and workers < 0:
-            raise ValueError("workers must be >= 0 (0 runs inline)")
         self._edges = list(edges)
         if self._edges and not (
             isinstance(self._edges[0][0], int)
@@ -291,14 +225,6 @@ class ShardedRunner:
         self._router_seed = router_seed
         self._core = core
         self._pipeline = pipeline
-        self._workers = workers
-        self._injector = coerce_injector(faults)
-        self._retry_budget = retry_budget
-        self._columns = (
-            columnar_or_none(self._edges)
-            if pipeline == "chunked" and numpy_or_none() is not None
-            else None
-        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -322,27 +248,29 @@ class ShardedRunner:
         return ShardSpec(shards=self._shards, router_seed=self._router_seed)
 
     # ------------------------------------------------------------------
-    def _chunk_capable(self) -> bool:
-        """Whether the per-shard drives may use the columnar gate."""
-        if self._columns is None:
-            return False
+    @cached_property
+    def _chunk_columns(self):
+        """The population's int32 columns when the per-shard drives may
+        use the columnar gate, else ``None``.
+
+        Method and weight are checked first, so a configuration without
+        a vectorised gate (every topology-reading weight) never pays
+        for the columnar conversion.
+        """
+        if self._pipeline != "chunked" or numpy_or_none() is None:
+            return None
         method = _get_method(self._method)
         if method.reads_labels:
-            return False
+            return None
         if self._weight_fn is not None and not is_label_free(self._weight_fn):
-            return False
+            return None
         probe = method.make(
             self._budget // self._shards, 0, self._sampler_seed,
             weight_fn=self._weight_fn, core=self._core,
         )
-        return bool(getattr(probe, "chunk_vectorized", False))
-
-    def _resolve_workers(self) -> int:
-        import os
-
-        if self._workers is None:
-            return min(self._shards, os.cpu_count() or 1)
-        return min(self._workers, self._shards)
+        if not getattr(probe, "chunk_vectorized", False):
+            return None
+        return columnar_or_none(self._edges)
 
     # ------------------------------------------------------------------
     def run(
@@ -359,17 +287,37 @@ class ShardedRunner:
         )
         # Wall time feeds only the throughput report, never an estimate.
         started = time.perf_counter()  # repro-lint: disable=nondet-ban
-        chunked = self._chunk_capable()
-        workers = self._resolve_workers() if self._shards > 1 else 0
-        if workers > 1 and chunked:
-            outcome, stats = self._run_pooled(
-                stream_seed, sampler_seed, workers
-            )
+        columns = self._chunk_columns
+        if columns is not None:
+            us, vs = _permuted_columns(columns, stream_seed)
+            ids = shard_columns(us, vs, self._shards, self._router_seed)
+            substreams = [
+                _ColumnStream(us[ids == s], vs[ids == s])
+                for s in range(self._shards)
+            ]
         else:
-            outcome = self._run_inline(stream_seed, sampler_seed, chunked)
-            workers = 0
-            stats = RetryStats()
-        samples, sizes, thresholds, shard_edges = outcome
+            order = list(self._edges)
+            if stream_seed is not None:
+                random.Random(stream_seed).shuffle(order)
+            substreams = split_stream(order, self._shards, self._router_seed)
+        method = _get_method(self._method)
+        samples: List[List[ShardRecord]] = []
+        sizes: List[int] = []
+        thresholds: List[float] = []
+        shard_edges: List[int] = []
+        for s, substream in enumerate(substreams):
+            counter = method.make(
+                self._budget // self._shards, len(substream),
+                sampler_seed * self._shards + s,
+                weight_fn=self._weight_fn, core=self._core,
+            )
+            shard_edges.append(
+                _drive_shard(counter, substream, columns is not None)
+            )
+            records, size, threshold = _extract_sample(counter)
+            samples.append(records)
+            sizes.append(size)
+            thresholds.append(threshold)
         merged = merge_estimates(samples)
         estimates = GraphEstimates.from_raw(
             triangle_count=merged.triangle_count,
@@ -387,105 +335,11 @@ class ShardedRunner:
             shards=self._shards,
             elapsed_seconds=time.perf_counter()  # repro-lint: disable=nondet-ban
             - started,
-            pipeline="chunked" if chunked else "scalar",
-            workers=workers,
+            pipeline="chunked" if columns is not None else "scalar",
             shard_edges=tuple(shard_edges),
             shard_sample_sizes=tuple(sizes),
             shard_thresholds=tuple(thresholds),
-            task_retries=stats.task_retries,
-            pool_rebuilds=stats.pool_rebuilds,
         )
-
-    # ------------------------------------------------------------------
-    def _run_inline(
-        self,
-        stream_seed: Optional[int],
-        sampler_seed: int,
-        chunked: bool,
-    ):
-        method = _get_method(self._method)
-        capacity = self._budget // self._shards
-        samples: List[List[ShardRecord]] = []
-        sizes: List[int] = []
-        thresholds: List[float] = []
-        shard_edges: List[int] = []
-        if chunked:
-            us, vs = _permuted_columns(self._columns, stream_seed)
-            ids = shard_columns(us, vs, self._shards, self._router_seed)
-            substreams = [
-                _ColumnStream(us[ids == s], vs[ids == s])
-                for s in range(self._shards)
-            ]
-        else:
-            order = list(self._edges)
-            if stream_seed is not None:
-                random.Random(stream_seed).shuffle(order)
-            substreams = split_stream(order, self._shards, self._router_seed)
-        for s, substream in enumerate(substreams):
-            counter = method.make(
-                capacity, len(substream), sampler_seed * self._shards + s,
-                weight_fn=self._weight_fn, core=self._core,
-            )
-            shard_edges.append(_drive_shard(counter, substream, chunked))
-            records, size, threshold = _extract_sample(counter)
-            samples.append(records)
-            sizes.append(size)
-            thresholds.append(threshold)
-        return samples, sizes, thresholds, shard_edges
-
-    def _run_pooled(
-        self,
-        stream_seed: Optional[int],
-        sampler_seed: int,
-        workers: int,
-    ):
-        published = [SharedEdgePopulation.publish(self._edges)]
-
-        def initargs_of(population: SharedEdgePopulation):
-            return (
-                population.descriptor,
-                self._shards,
-                self._router_seed,
-                self._budget // self._shards,
-                self._weight_fn,
-                self._method,
-                self._core,
-                stream_seed,
-                sampler_seed,
-            )
-
-        def refresh():
-            # Republish only if a platform cleanup took the segment
-            # along with the crashed worker.
-            try:
-                SharedEdgePopulation.attach(published[-1].descriptor)
-                return None
-            except (OSError, ValueError):
-                published.append(SharedEdgePopulation.publish(self._edges))
-                return initargs_of(published[-1])
-
-        try:
-            outcomes, stats = run_resilient(
-                _run_shard_task,
-                list(range(self._shards)),
-                workers=workers,
-                initializer=_shard_pool_initializer,
-                initargs=initargs_of(published[0]),
-                retry_budget=self._retry_budget,
-                injector=self._injector,
-                site="shard",
-                refresh=refresh,
-            )
-        finally:
-            for population in published:
-                population.close()
-                population.unlink()
-        outcomes.sort(key=lambda item: item[0])
-        samples = [item[1] for item in outcomes]
-        sizes = [item[2] for item in outcomes]
-        thresholds = [item[3] for item in outcomes]
-        shard_edges = [item[4] for item in outcomes]
-        return (samples, sizes, thresholds, shard_edges), stats
 
 
 __all__ = [

@@ -65,14 +65,34 @@ def numpy_or_none():
     return _np
 
 
+def int32_labelled(edges: Iterable[Edge]) -> bool:
+    """Whether every label is a plain int (``bool`` excluded) in int32 range.
+
+    Exactly the populations that columnarise — or publish to a shared
+    int32 segment — without relabelling.
+
+    Examples
+    --------
+    >>> int32_labelled([(0, 1), (-5, 2**31 - 1)])
+    True
+    >>> int32_labelled([(0, 2**31)]), int32_labelled([(True, 1)])
+    (False, False)
+    """
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            return False
+        if not (_INT32_MIN <= u <= _INT32_MAX and _INT32_MIN <= v <= _INT32_MAX):
+            return False
+    return True
+
+
 def columnar_or_none(edges: Sequence[Edge]) -> Optional[Chunk]:
     """``(u, v)`` int32 columns of ``edges``, or ``None`` when impossible.
 
-    Succeeds only when every label is a plain int (``bool`` excluded)
-    within int32 range — then the columns carry the *original* labels and
-    a chunked pass is label-faithful.  Anything else (strings, floats,
-    overflow, missing numpy) returns ``None`` and callers keep the
-    scalar tuple path.
+    Succeeds only when :func:`int32_labelled` holds — then the columns
+    carry the *original* labels and a chunked pass is label-faithful.
+    Anything else (strings, floats, overflow, missing numpy) returns
+    ``None`` and callers keep the scalar tuple path.
 
     Examples
     --------
@@ -82,13 +102,8 @@ def columnar_or_none(edges: Sequence[Edge]) -> Optional[Chunk]:
     >>> columnar_or_none([("a", "b")]) is None
     True
     """
-    if _np is None:
+    if _np is None or not int32_labelled(edges):
         return None
-    for u, v in edges:
-        if type(u) is not int or type(v) is not int:
-            return None
-        if not (_INT32_MIN <= u <= _INT32_MAX and _INT32_MIN <= v <= _INT32_MAX):
-            return None
     n = len(edges)
     flat = _np.fromiter(
         chain.from_iterable(edges), dtype=_np.int32, count=2 * n
@@ -157,6 +172,7 @@ def iter_chunks(
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "columnar_or_none",
+    "int32_labelled",
     "iter_chunks",
     "numpy_or_none",
     "pairs_from_columns",

@@ -9,16 +9,14 @@ buying two things:
 
 * the compact core's hot-path dict operations hash small ints instead of
   arbitrary objects;
-* the edge population becomes a flat ``int32`` array, which is what the
-  zero-copy shared-memory fan-out (:mod:`repro.engine.shared_edges`)
-  publishes to replication workers — per-task payloads stay seed pairs
-  no matter how large the graph is.
+* the edge population becomes a flat ``int32`` array — the shape the
+  chunked pipeline's columns and the zero-copy shared-memory fan-out
+  (:mod:`repro.engine.shared_edges`) need.  The fan-out itself never
+  interns: it publishes populations whose labels already are int32
+  ints, so callers intern first when they want that path.
 
 Ids are assigned densely in first-encounter order, so interning the same
-edge sequence always produces the same id sequence — the property the
-replication pool relies on when parent and workers intern independently
-is *not* needed here precisely because only the parent interns; workers
-receive the already-interned array.
+edge sequence always produces the same id sequence.
 
 The synthetic generators (:mod:`repro.graph.generators`) already emit
 dense ``0..n-1`` int labels, for which interning is the identity

@@ -24,9 +24,9 @@ import repro.api.spec
 import repro.api.sweep
 import repro.core.compact
 import repro.core.weights
-import repro.engine.replication
 import repro.engine.shared_edges
 import repro.heap.slot_heap
+import repro.streams.chunks
 import repro.streams.interner
 
 MODULES = [
@@ -41,9 +41,9 @@ MODULES = [
     repro.api.sweep,
     repro.core.compact,
     repro.core.weights,
-    repro.engine.replication,
     repro.engine.shared_edges,
     repro.heap.slot_heap,
+    repro.streams.chunks,
     repro.streams.interner,
 ]
 

@@ -1,7 +1,7 @@
 """Chaos acceptance suite: bit-identity under injected faults.
 
 Every test runs one of the four execution surfaces (replicated run,
-sweep grid, sharded run, live serve session) twice — once fault-free
+sweep grid, sharded replicated run, live serve session) twice — once fault-free
 and once under a deterministic :class:`~repro.faults.FaultPlan` — and
 asserts that the faulted run (a) actually exercised the recovery path
 (retry/reconnect/quarantine counters > 0) and (b) produced estimates
@@ -30,13 +30,11 @@ import pytest
 from repro.api.execution import run
 from repro.api.spec import RunSpec
 from repro.api.sweep import SweepSpec, run_sweep
-from repro.core.weights import UniformWeight
 from repro.distrib import DistribSpec, run_distributed_sweep
 from repro.faults import FaultPlan, FaultSpec
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.io import write_edge_list
 from repro.serve import SamplingService, ServeSpec
-from repro.shard.runner import ShardedRunner
 from repro.streams.stream import EdgeStream
 
 pytestmark = pytest.mark.chaos
@@ -237,31 +235,24 @@ class TestDistributedSweepChaos:
 
 
 # ----------------------------------------------------------------------
-# Sharded run: a crashed shard task is re-dispatched bit-identically
+# Sharded run: a crashed task of a replicated 4-shard study is retried
 # ----------------------------------------------------------------------
 class TestShardChaos:
     def test_shard_crash_bit_identical(self, graph):
         edges = EdgeStream.canonical_edges(graph)
-        kwargs = dict(
-            shards=4, budget=400, weight_fn=UniformWeight(),
-            stream_seed=2, sampler_seed=20,
+        spec = RunSpec(
+            source="<g>", method="gps-post", weight="uniform", budget=400,
+            shards=4, replications=4, stream_seed=2, sampler_seed=20,
         )
-        oracle = ShardedRunner(edges, workers=0, **kwargs).run()
+        oracle = run(spec.replace(workers=0), graph=edges)
         plan = FaultPlan(
-            faults=(FaultSpec(kind="crash-worker", site="shard", at=2),)
+            faults=(FaultSpec(kind="crash-worker", site="replication", at=2),)
         )
-        crashed = ShardedRunner(
-            edges, workers=2, faults=plan, **kwargs
-        ).run()
+        crashed = run(spec.replace(workers=2), graph=edges, faults=plan)
         assert crashed.task_retries > 0
         assert crashed.pool_rebuilds > 0
-        assert (
-            crashed.estimates.triangles.value
-            == oracle.estimates.triangles.value
-        )
-        assert crashed.shard_thresholds == oracle.shard_thresholds
-        assert crashed.shard_edges == oracle.shard_edges
-        assert crashed.shard_sample_sizes == oracle.shard_sample_sizes
+        assert crashed.estimates == oracle.estimates
+        assert crashed.metrics == oracle.metrics
 
 
 # ----------------------------------------------------------------------

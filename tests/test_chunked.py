@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api.execution import replicate, run
+from repro.api.execution import execute, replicate, run
 from repro.api.registry import GpsPostStreamAdapter, get_weight, weight_names
 from repro.api.spec import RunSpec
 from repro.core.compact import (
@@ -26,12 +26,6 @@ from repro.core.compact import (
 from repro.core.in_stream import InStreamEstimator
 from repro.core.priority_sampler import GraphPrioritySampler
 from repro.core.weights import AttributeWeight, UniformWeight, is_label_free
-from repro.engine.replication import (
-    ReplicatedRunner,
-    _Population,
-    _ReplicationTask,
-    _run_replication,
-)
 from repro.engine.stream_engine import (
     DEFAULT_PIPELINE,
     PIPELINES,
@@ -497,62 +491,53 @@ class TestRunSpecPipeline:
 
 
 # ----------------------------------------------------------------------
-# Replication workers: warm arenas and columnar populations
+# Replicated runs on the executor: task purity, pipelines, pool
 # ----------------------------------------------------------------------
 class TestWarmArena:
-    def test_population_dual_views_agree(self, clean_edges):
-        population = _Population(edges=list(clean_edges))
-        u, v = population.columns()
-        from_columns = _Population(columns=(u, v))
-        assert from_columns.tuples() == list(clean_edges)
-        assert len(from_columns) == len(population)
+    """One process runs many tasks back to back; none may leak state."""
 
     def test_arena_reuse_is_bit_exact(self, clean_edges):
-        """Back-to-back tasks (the second on a warm arena) match fresh
-        single-task runs exactly."""
-        def task(seed_pair, pipeline):
-            return _ReplicationTask(
-                edges=tuple(clean_edges), capacity=90, weight_fn=None,
-                stream_seed=seed_pair[0], sampler_seed=seed_pair[1],
-                method="gps-post", pipeline=pipeline,
-            )
+        """Back-to-back executor tasks match fresh single runs exactly."""
+        def spec(seed_pair, pipeline):
+            return RunSpec(source="<g>", method="gps-post", budget=90,
+                           weight="uniform", stream_seed=seed_pair[0],
+                           sampler_seed=seed_pair[1], pipeline=pipeline)
 
         for pipeline in PIPELINES:
-            warm = [_run_replication(task(pair, pipeline))
-                    for pair in ((1, 2), (3, 4), (1, 2))]
-            assert warm[0] == warm[2]  # warm arena == earlier fresh run
-            assert warm[0] != warm[1]
-            assert warm[0] == _run_replication(task((1, 2), pipeline))
+            specs = [spec(pair, pipeline) for pair in ((1, 2), (3, 4), (1, 2))]
+            warm, _ = execute(specs, workers=0,
+                              populations={"<g>": clean_edges})
+            first, other, again = (
+                (r.estimates, r.threshold, r.sample_size) for r in warm
+            )
+            assert first == again
+            assert first != other
+            fresh = run(spec((1, 2), pipeline), graph=clean_edges)
+            assert first == (fresh.estimates, fresh.threshold,
+                             fresh.sample_size)
 
     def test_runner_pipelines_match(self, clean_edges):
         results = {}
         for pipeline in PIPELINES:
-            summary = ReplicatedRunner(
-                clean_edges, capacity=100, weight_fn=UniformWeight(),
-                replications=3, max_workers=0, method="gps-post",
-                pipeline=pipeline,
-            ).run()
-            results[pipeline] = {
-                name: s.mean for name, s in summary.metrics.items()
-            }
+            report = run(
+                RunSpec(source="<g>", method="gps-post", budget=100,
+                        replications=3, workers=0, pipeline=pipeline),
+                graph=clean_edges, weight_fn=UniformWeight(),
+            )
+            assert report.pipeline == pipeline
+            results[pipeline] = report.metrics
         assert results["chunked"] == results["scalar"]
 
-    def test_runner_rejects_unknown_pipeline(self, clean_edges):
+    def test_runner_rejects_unknown_pipeline(self):
         with pytest.raises(ValueError):
-            ReplicatedRunner(clean_edges, capacity=10, pipeline="turbo")
+            RunSpec(source="<g>", replications=3, pipeline="turbo")
 
     def test_pooled_dispatches_match_inline(self, clean_edges):
-        inline = ReplicatedRunner(
-            clean_edges, capacity=90, weight_fn=UniformWeight(),
-            replications=2, max_workers=0, method="gps-post",
-        ).run()
-        for dispatch in ("shared", "pickle"):
-            pooled = ReplicatedRunner(
-                clean_edges, capacity=90, weight_fn=UniformWeight(),
-                replications=2, max_workers=1, method="gps-post",
-                dispatch=dispatch,
-            ).run()
-            for name, summary in inline.metrics.items():
-                assert pooled.metrics[name].mean == summary.mean, (
-                    dispatch, name,
-                )
+        spec = RunSpec(source="<g>", method="gps-post", budget=90,
+                       replications=2, workers=0)
+        inline = run(spec, graph=clean_edges, weight_fn=UniformWeight())
+        pooled = run(spec.replace(workers=1), graph=clean_edges,
+                     weight_fn=UniformWeight())
+        assert pooled.workers == 1
+        assert pooled.metrics == inline.metrics
+        assert pooled.estimates == inline.estimates

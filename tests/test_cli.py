@@ -370,24 +370,20 @@ class TestBench:
             assert entry["object_edges_per_sec"] > 0
             assert entry["speedup"] > 0
 
-    def test_replication_quick_setup_ladder(self, tmp_path, capsys):
+    def test_replication_quick_inline_vs_pooled(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         assert main([
             "bench", "replication", "--quick", "-o", str(out),
         ]) == 0
         payload = json.loads(out.read_text())
         assert payload["benchmark"] == "replication"
-        ladder = payload["results"]["setup_vs_size"]
-        assert len(ladder) >= 2
-        small, big = ladder[0], ladder[-1]
-        # Pickled payload grows with the graph; the shared-memory task
-        # payload (a descriptor) does not.
-        assert big["pickle_payload_bytes"] > 2 * small["pickle_payload_bytes"]
-        assert (
-            big["shared_task_payload_bytes"]
-            == small["shared_task_payload_bytes"]
-        )
-        assert payload["results"]["end_to_end"]["shared"]["edges_per_sec"] > 0
+        assert payload["params"]["replications"] == 4
+        rungs = payload["results"]["end_to_end"]
+        assert set(rungs) == {"uniform", "triangle"}
+        assert rungs["uniform"]["pipeline"] == "chunked"
+        for rung in rungs.values():
+            assert rung["inline"]["edges_per_sec"] > 0
+            assert rung["pooled"]["edges_per_sec"] > 0
 
     def test_bad_repeats_rejected(self, capsys):
         assert main(["bench", "engine", "--repeats", "0"]) == 2

@@ -4,7 +4,7 @@ The compact core's contract (see :mod:`repro.core.compact`) is that it
 is *indistinguishable* from the object core under shared seeds: same
 samples, same thresholds, same in-stream and post-stream estimates —
 bit for bit, for every registered weight function, through every entry
-point (direct classes, ``run(spec)``, the replication pool inline and
+point (direct classes, ``run(spec)``, executor tasks inline and
 pooled, the sweep grid).  These tests enforce exactly that.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.execution import run
+from repro.api.execution import execute, run
 from repro.api.registry import get_weight, weight_names
 from repro.api.spec import RunSpec
 from repro.core.adaptive import AdaptiveTriangleWeight
@@ -36,7 +36,6 @@ from repro.core.weights import (
     WedgeWeight,
     is_label_free,
 )
-from repro.engine.replication import ReplicatedRunner
 from repro.graph.generators import powerlaw_cluster
 from repro.heap.slot_heap import SlotMinHeap
 from repro.streams.stream import EdgeStream
@@ -240,7 +239,7 @@ def test_tracking_equivalence_across_cores(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Replication pool: inline vs pooled, across cores and weights
+# Replicated runs: inline vs pooled, across cores and weights
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("weight_name", [None, *weight_names()])
 def test_replication_inline_vs_pooled_vs_cores(weight_name):
@@ -251,18 +250,19 @@ def test_replication_inline_vs_pooled_vs_cores(weight_name):
     outcomes = {}
     for core in CORES:
         for workers in (0, 1):
-            summary = ReplicatedRunner(
-                graph, capacity=50,
+            specs = [
+                RunSpec(source="<g>", budget=50, stream_seed=i,
+                        sampler_seed=10_000 + i, core=core)
+                for i in range(2)
+            ]
+            reports, _ = execute(
+                specs, workers=workers, populations={"<g>": graph},
                 weight_fn=(
                     get_weight(weight_name).factory()
                     if weight_name is not None else None
                 ),
-                replications=2, max_workers=workers, core=core,
-            ).run()
-            outcomes[(core, workers)] = {
-                name: [r.metrics[name] for r in summary.replications]
-                for name in summary.metrics
-            }
+            )
+            outcomes[(core, workers)] = [r.estimates for r in reports]
     baseline = outcomes[("compact", 0)]
     for key, metrics in outcomes.items():
         assert metrics == baseline, f"{key} diverged from compact/inline"

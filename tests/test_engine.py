@@ -1,4 +1,4 @@
-"""Tests for repro.engine: StreamEngine and ReplicatedRunner."""
+"""Tests for StreamEngine and for replicated runs on the executor."""
 
 from __future__ import annotations
 
@@ -8,12 +8,9 @@ from repro.baselines.triest import TriestImpr
 from repro.core.in_stream import InStreamEstimator
 from repro.core.priority_sampler import GraphPrioritySampler
 from repro.core.weights import UniformWeight
-from repro.engine import (
-    MetricSummary,
-    ReplicatedRunner,
-    StreamEngine,
-)
-from repro.engine.replication import _ReplicationTask, _run_replication
+from repro.api.execution import MetricSummary, execute, replicate, run
+from repro.api.spec import RunSpec
+from repro.engine import StreamEngine
 from repro.graph.exact import ExactStreamCounter, compute_statistics
 from repro.graph.generators import powerlaw_cluster
 from repro.stats.running import RunningMoments
@@ -110,153 +107,178 @@ class TestStreamEngine:
         assert stats.update_time_us > 0.0
 
 
+def seeded(method="gps", budget=100, replications=4, stream_seed=0,
+           sampler_seed=10_000, **kwargs):
+    """The single-pass specs a replicated run hands the executor."""
+    return [
+        RunSpec(source="<g>", method=method, budget=budget,
+                stream_seed=stream_seed + i, sampler_seed=sampler_seed + i,
+                **kwargs)
+        for i in range(replications)
+    ]
+
+
+def replicated(graph, workers, **kwargs):
+    kwargs.setdefault("sampler_seed", 10_000)
+    return run(RunSpec(source="<g>", workers=workers, **kwargs), graph=graph)
+
+
+def outcome(report):
+    """Everything a task report carries except its wall-clock timings."""
+    return (report.estimates, report.sample_size, report.threshold,
+            report.in_stream, report.post_stream)
+
+
 class TestReplicatedRunner:
+    """Replicated runs: R seeded single-pass tasks on the executor."""
+
     def test_eight_replications_two_workers(self, engine_graph):
-        runner = ReplicatedRunner(
-            engine_graph, capacity=100, replications=8, max_workers=2
-        )
-        summary = runner.run()
-        assert summary.workers == 2
-        assert summary.num_replications == 8
-        seeds = {(r.stream_seed, r.sampler_seed) for r in summary.replications}
-        assert len(seeds) == 8
-        # Aggregates agree with a direct Welford pass over the results.
+        report = replicated(engine_graph, 2, budget=100, replications=8)
+        assert report.workers == 2
+        assert report.replications == 8
+        reports, _ = execute(seeded(replications=8), workers=2,
+                             populations={"<g>": engine_graph})
+        # Aggregates agree with a direct Welford pass over the tasks.
         moments = RunningMoments()
-        moments.extend(r.in_stream_triangles for r in summary.replications)
-        assert summary.in_stream_triangles.mean == pytest.approx(moments.mean)
-        assert summary.in_stream_triangles.variance == pytest.approx(
-            moments.variance
-        )
-        assert summary.in_stream_triangles.count == 8
-        assert (
-            summary.in_stream_triangles.ci_low
-            <= summary.in_stream_triangles.mean
-            <= summary.in_stream_triangles.ci_high
-        )
+        moments.extend(r.estimates["in_stream_triangles"] for r in reports)
+        summary = report.metrics["in_stream_triangles"]
+        assert summary.mean == pytest.approx(moments.mean)
+        assert summary.variance == pytest.approx(moments.variance)
+        assert summary.count == 8
+        assert summary.ci_low <= summary.mean <= summary.ci_high
 
     def test_pool_matches_inline_execution(self, engine_graph):
-        kwargs = dict(capacity=100, replications=4)
-        pooled = ReplicatedRunner(engine_graph, max_workers=2, **kwargs).run()
-        inline = ReplicatedRunner(engine_graph, max_workers=0, **kwargs).run()
-        assert inline.workers == 0
-        assert [r.in_stream_triangles for r in pooled.replications] == [
-            r.in_stream_triangles for r in inline.replications
-        ]
-        assert pooled.in_stream_triangles.mean == inline.in_stream_triangles.mean
+        specs = seeded(replications=4)
+        pooled, _ = execute(specs, workers=2,
+                            populations={"<g>": engine_graph})
+        inline, _ = execute(specs, workers=0,
+                            populations={"<g>": engine_graph})
+        assert [outcome(r) for r in pooled] == [outcome(r) for r in inline]
+        pooled_run = replicated(engine_graph, 2, replications=4)
+        inline_run = replicated(engine_graph, 0, replications=4)
+        assert inline_run.workers == 0
+        assert pooled_run.metrics == inline_run.metrics
+        assert pooled_run.estimates == inline_run.estimates
 
     def test_replication_stream_matches_from_graph_protocol(self, engine_graph):
-        """A replication with stream_seed s runs exactly the stream
-        EdgeStream.from_graph(graph, seed=s) produces."""
-        runner = ReplicatedRunner(
-            engine_graph, capacity=90, replications=1, max_workers=0,
-            base_stream_seed=5, base_sampler_seed=77,
+        """Replication i streams exactly EdgeStream.from_graph(graph,
+        seed=stream_seed + i) with sampler seed sampler_seed + i."""
+        report = replicated(engine_graph, 0, budget=90, replications=2,
+                            stream_seed=5, sampler_seed=77)
+        direct = []
+        for i in range(2):
+            estimator = InStreamEstimator(90, seed=77 + i)
+            estimator.process_stream(
+                EdgeStream.from_graph(engine_graph, seed=5 + i)
+            )
+            direct.append(estimator)
+        assert report.metrics["in_stream_triangles"] == (
+            MetricSummary.from_values([e.triangle_estimate for e in direct])
         )
-        summary = runner.run()
-        estimator = InStreamEstimator(90, seed=77)
-        estimator.process_stream(EdgeStream.from_graph(engine_graph, seed=5))
-        assert summary.replications[0].in_stream_triangles == (
-            estimator.triangle_estimate
-        )
-        assert summary.replications[0].threshold == estimator.sampler.threshold
+        (task,), _ = execute(seeded(budget=90, replications=1, stream_seed=5,
+                                    sampler_seed=77),
+                             workers=0, populations={"<g>": engine_graph})
+        assert task.threshold == direct[0].sampler.threshold
 
     def test_mean_tracks_exact_count(self, engine_graph):
         exact = compute_statistics(engine_graph)
-        summary = ReplicatedRunner(
-            engine_graph, capacity=150, replications=8, max_workers=2
-        ).run()
-        assert summary.in_stream_triangles.mean == pytest.approx(
+        report = replicated(engine_graph, 2, budget=150, replications=8)
+        assert report.metrics["in_stream_triangles"].mean == pytest.approx(
             exact.triangles, rel=0.6
         )
 
     def test_accepts_raw_edge_sequence(self, engine_graph):
         edges = list(engine_graph.edges())
-        summary = ReplicatedRunner(
-            edges, capacity=80, replications=2, max_workers=0
-        ).run()
-        assert summary.num_replications == 2
+        report = replicated(edges, 0, budget=80, replications=2)
+        assert report.replications == 2
+        assert report.metrics["in_stream_triangles"].count == 2
 
     def test_picklable_weight_functions(self, engine_graph):
-        summary = ReplicatedRunner(
-            engine_graph, capacity=60, weight_fn=UniformWeight(),
-            replications=3, max_workers=2,
-        ).run()
-        assert summary.num_replications == 3
+        kwargs = dict(budget=60, replications=3)
+        pooled = run(RunSpec(source="<g>", workers=2, **kwargs),
+                     graph=engine_graph, weight_fn=UniformWeight())
+        inline = run(RunSpec(source="<g>", workers=0, **kwargs),
+                     graph=engine_graph, weight_fn=UniformWeight())
+        assert pooled.replications == 3
+        assert pooled.metrics == inline.metrics
 
     def test_invalid_configurations_rejected(self, engine_graph):
         with pytest.raises(ValueError):
-            ReplicatedRunner(engine_graph, capacity=0)
+            RunSpec(source="<g>", budget=0)
         with pytest.raises(ValueError):
-            ReplicatedRunner(engine_graph, capacity=5, replications=0)
+            RunSpec(source="<g>", budget=5, replications=0)
         with pytest.raises(ValueError):
-            ReplicatedRunner(engine_graph, capacity=5, max_workers=-1)
+            RunSpec(source="<g>", budget=5, workers=-1)
         with pytest.raises(ValueError):
-            ReplicatedRunner(
-                engine_graph, capacity=5, seed_pairs=[(0, 1), (0, 1)]
-            )
+            RunSpec(source="<g>", budget=5, replications=2, stream_seed=None)
 
     def test_worker_task_is_deterministic(self, engine_graph):
-        task = _ReplicationTask(
-            edges=tuple(sorted(engine_graph.edges(), key=repr)),
-            capacity=70, weight_fn=None, stream_seed=3, sampler_seed=4,
-        )
-        a = _run_replication(task)
-        b = _run_replication(task)
-        assert a == b
+        spec = RunSpec(source="<g>", budget=70, stream_seed=3, sampler_seed=4)
+        a, b = execute([spec, spec], workers=0,
+                       populations={"<g>": engine_graph})[0]
+        assert outcome(a) == outcome(b)
+        assert a.counter is None  # tasks strip the live counter
 
 
 class TestReplicatedBaselines:
-    """Any registered method fans through the same pool (PR 2 tentpole)."""
+    """Any registered method fans through the same executor."""
 
     def test_triest_through_pool(self, engine_graph):
-        summary = ReplicatedRunner(
-            engine_graph, capacity=100, replications=4, max_workers=2,
-            method="triest",
-        ).run()
-        assert summary.method == "triest"
-        assert set(summary.metrics) == {"triangles"}
-        stats = summary.metrics["triangles"]
+        report = replicated(engine_graph, 2, budget=100, replications=4,
+                            method="triest")
+        assert report.spec.method == "triest"
+        assert set(report.metrics) == {"triangles"}
+        stats = report.metrics["triangles"]
         assert stats.count == 4
         assert stats.ci_low <= stats.mean <= stats.ci_high
 
     def test_baseline_pool_matches_inline(self, engine_graph):
-        kwargs = dict(capacity=120, replications=3, method="triest-impr")
-        pooled = ReplicatedRunner(engine_graph, max_workers=2, **kwargs).run()
-        inline = ReplicatedRunner(engine_graph, max_workers=0, **kwargs).run()
-        assert [r.metrics for r in pooled.replications] == [
-            r.metrics for r in inline.replications
-        ]
+        specs = seeded(method="triest-impr", budget=120, replications=3)
+        pooled, _ = execute(specs, workers=2,
+                            populations={"<g>": engine_graph})
+        inline, _ = execute(specs, workers=0,
+                            populations={"<g>": engine_graph})
+        assert [r.estimates for r in pooled] == [r.estimates for r in inline]
 
     def test_baseline_replication_matches_direct_pass(self, engine_graph):
         """Replication i of a baseline runs exactly the seeded stream."""
-        summary = ReplicatedRunner(
-            engine_graph, capacity=90, replications=1, max_workers=0,
-            base_stream_seed=6, base_sampler_seed=42, method="triest-impr",
-        ).run()
+        report = replicate(
+            RunSpec(source="<g>", method="triest-impr", budget=90,
+                    stream_seed=6, sampler_seed=42, workers=0),
+            graph=engine_graph,
+        )
         direct = TriestImpr(90, seed=42)
         for u, v in EdgeStream.from_graph(engine_graph, seed=6):
             direct.process(u, v)
-        assert summary.replications[0].metrics["triangles"] == (
-            direct.triangle_estimate
-        )
+        assert report.metrics["triangles"].mean == direct.triangle_estimate
 
-    def test_unknown_method_rejected_up_front(self, engine_graph):
+    def test_unknown_method_rejected_up_front(self, engine_graph, monkeypatch):
+        import repro.api.execution as execution
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("resolved a source for an unknown method")
+
+        monkeypatch.setattr(execution, "_resolve_edges", no_work)
         with pytest.raises(ValueError, match="unknown method"):
-            ReplicatedRunner(engine_graph, capacity=10, method="frobnicate")
+            replicated(engine_graph, 2, budget=10, replications=4,
+                       method="frobnicate")
 
     def test_gps_legacy_accessors_still_work(self, engine_graph):
-        summary = ReplicatedRunner(
-            engine_graph, capacity=80, replications=2, max_workers=0
-        ).run()
-        assert summary.method == "gps"
-        assert summary.in_stream_triangles.mean == (
-            summary.metrics["in_stream_triangles"].mean
+        report = replicated(engine_graph, 0, budget=80, replications=2)
+        assert report.spec.method == "gps"
+        assert report.estimates["in_stream_triangles"] == (
+            report.metrics["in_stream_triangles"].mean
         )
-        first = summary.replications[0]
-        assert first.in_stream_triangles == first.metrics["in_stream_triangles"]
+        assert report.triangle_estimate == report.estimates[
+            "in_stream_triangles"
+        ]
 
 
 class TestMetricSummary:
     def test_single_value_collapses(self):
+        import repro
+
+        assert repro.MetricSummary is MetricSummary
         summary = MetricSummary.from_values([5.0])
         assert summary.mean == 5.0
         assert summary.variance == 0.0

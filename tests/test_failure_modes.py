@@ -15,12 +15,13 @@ import math
 
 import pytest
 
+from repro.api.execution import execute, run
 from repro.api.ground_truth import ContentAddressedStore, GroundTruthCache
+from repro.api.spec import RunSpec
 from repro.core.in_stream import InStreamEstimator
 from repro.core.post_stream import PostStreamEstimator
 from repro.core.priority_sampler import GraphPrioritySampler
 from repro.core.weights import AttributeWeight
-from repro.engine.replication import ReplicatedRunner
 from repro.faults import FaultPlan, FaultSpec, corrupt_entry
 from repro.graph.generators import erdos_renyi_gnm
 from repro.serve import SamplingService, ServeSpec
@@ -151,19 +152,15 @@ class TestProcessPoolDeath:
         return erdos_renyi_gnm(60, 120, seed=1)
 
     def test_worker_crash_is_retried_bit_identically(self, graph):
-        kwargs = dict(
-            capacity=30, replications=3, base_stream_seed=2,
-            base_sampler_seed=20,
-        )
-        oracle = ReplicatedRunner(graph, max_workers=0, **kwargs).run()
+        spec = RunSpec(source="<g>", budget=30, replications=3,
+                       stream_seed=2, sampler_seed=20)
+        oracle = run(spec.replace(workers=0), graph=graph)
         plan = FaultPlan(
             faults=(
                 FaultSpec(kind="crash-worker", site="replication", at=1),
             )
         )
-        crashed = ReplicatedRunner(
-            graph, max_workers=2, faults=plan, **kwargs
-        ).run()
+        crashed = run(spec.replace(workers=2), graph=graph, faults=plan)
         assert crashed.task_retries > 0
         assert crashed.pool_rebuilds > 0
         for name in ("in_stream_triangles", "in_stream_wedges"):
@@ -179,12 +176,11 @@ class TestProcessPoolDeath:
                 ),
             )
         )
-        runner = ReplicatedRunner(
-            graph, capacity=30, replications=2, max_workers=2,
-            faults=plan, retry_budget=1,
-        )
+        specs = [RunSpec(source="<g>", budget=30, stream_seed=i)
+                 for i in range(2)]
         with pytest.raises(Exception):
-            runner.run()
+            execute(specs, workers=2, populations={"<g>": graph},
+                    faults=plan, retry_budget=1, site="replication")
 
 
 class TestMidStreamDisconnect:

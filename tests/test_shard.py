@@ -7,7 +7,8 @@ of arrival orientation, process identity or ``PYTHONHASHSEED`` — and
 the shard substreams must concatenate back to a permutation of the
 input.  The runner tests pin the merge algebra to the single-sampler
 post-stream estimator (S=1 is exactly the unsharded estimate) and
-prove the inline, chunked and pooled drives bit-identical.
+prove the scalar and chunked drives, and inline and pooled sharded
+replications, bit-identical.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.execution import replicate, run
+from repro.api.execution import execute, replicate, run
 from repro.api.spec import RunSpec
-from repro.api.sweep import SweepSpec
+from repro.api.sweep import SweepSpec, run_sweep
 from repro.core.weights import UniformWeight, WedgeWeight, is_label_free
 from repro.engine.stream_engine import StreamEngine
 from repro.graph.generators import chung_lu
+from repro.graph.io import write_edge_list
 from repro.shard.router import (
     edge_key,
     edge_shard,
@@ -235,23 +237,51 @@ class TestShardedRunner:
         assert chunked.shard_sample_sizes == scalar.shard_sample_sizes
 
     def test_pooled_equals_inline(self, edges):
-        kwargs = dict(shards=4, budget=400, weight_fn=UniformWeight())
-        inline = ShardedRunner(edges, workers=0, **kwargs).run()
-        pooled = ShardedRunner(edges, workers=2, **kwargs).run()
+        """Sharded replications fan out over the executor's pool; each
+        pass drives its shards in sequence, bit-identically."""
+        spec = RunSpec(source="inline", method="gps-post", budget=400,
+                       weight="uniform", shards=4, replications=3,
+                       stream_seed=2, sampler_seed=20)
+        inline = run(spec.replace(workers=0), graph=edges)
+        pooled = run(spec.replace(workers=2), graph=edges)
         assert pooled.workers == 2
         assert inline.workers == 0
-        assert (
-            pooled.estimates.triangles.value
-            == inline.estimates.triangles.value
-        )
-        assert pooled.shard_thresholds == inline.shard_thresholds
-        assert pooled.shard_edges == inline.shard_edges
+        assert pooled.pipeline == inline.pipeline == "chunked"
+        assert pooled.metrics == inline.metrics
+        # ... and equal to the sequential loop over one runner.
+        runner = ShardedRunner(edges, shards=4, budget=400,
+                               weight_fn=UniformWeight())
+        values = [
+            runner.run(stream_seed=2 + i, sampler_seed=20 + i)
+            .estimates.triangles.value
+            for i in range(3)
+        ]
+        assert [r.estimates["triangles"] for r in execute(
+            [spec.replace(replications=1, stream_seed=2 + i,
+                          sampler_seed=20 + i) for i in range(3)],
+            workers=2, populations={"inline": edges},
+        )[0]] == values
 
     def test_default_weight_falls_back_to_scalar_drive(self, edges):
         # gps-post defaults to the triangle weight, which reads the
         # evolving reservoir and cannot be vectorised; the runner must
         # quietly drive scalar (and record it).
         result = ShardedRunner(edges, shards=2, budget=100).run()
+        assert result.pipeline == "scalar"
+
+    def test_topology_weight_never_builds_columns(self, edges, monkeypatch):
+        """Columns are built only on the chunked branch, so a triangle-
+        weight pass (no vectorised gate) never pays the conversion."""
+        import repro.shard.runner as runner_module
+
+        def refuse(edges):
+            raise AssertionError("columnar_or_none called")
+
+        monkeypatch.setattr(runner_module, "columnar_or_none", refuse)
+        spec = RunSpec(source="inline", method="gps-post", budget=200,
+                       weight="triangle", shards=2)
+        assert run(spec, graph=edges).pipeline == "scalar"
+        result = ShardedRunner(edges, shards=2, budget=200).run()
         assert result.pipeline == "scalar"
 
     def test_seed_overrides_change_the_pass(self, edges):
@@ -273,8 +303,9 @@ class TestShardedRunner:
             ShardedRunner(edges, shards=2, budget=100, method="triest")
         with pytest.raises(ValueError, match="integer node labels"):
             ShardedRunner([("a", "b")], shards=2, budget=100)
-        with pytest.raises(ValueError, match="workers"):
-            ShardedRunner(edges, shards=2, budget=100, workers=-1)
+        # A pass has no pool of its own: the executor owns parallelism.
+        with pytest.raises(TypeError, match="workers"):
+            ShardedRunner(edges, shards=2, budget=100, workers=2)
 
     def test_shardable_registry(self):
         assert "gps-post" in SHARDABLE_METHODS
@@ -369,6 +400,26 @@ class TestShardedSweep:
         ]
         for cell in cells:
             assert all(s.shards == cell.key.shards for s in cell.specs)
+
+    def test_inline_sharded_work_never_starts_a_pool(self, edges, tmp_path,
+                                                     monkeypatch):
+        """workers=0 sweeps and single sharded passes stay in-process."""
+        import repro.engine.resilient as resilient_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(resilient_module, "ProcessPoolExecutor", no_pool)
+        path = tmp_path / "g.txt"
+        write_edge_list(edges, path)
+        report = run_sweep(SweepSpec(
+            sources=(str(path),), methods=("gps-post",), budgets=(200,),
+            weights=("uniform",), shards=(2,), runs=2, workers=0,
+        ))
+        assert report.cells[0].runs == 2
+        single = run(RunSpec(source=str(path), method="gps-post",
+                             weight="uniform", budget=200, shards=2))
+        assert single.mode == "sharded"
 
     def test_shards_axis_round_trips(self):
         spec = SweepSpec(sources=("a.txt",), methods=("gps-post",),

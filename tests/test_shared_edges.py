@@ -1,9 +1,12 @@
-"""Shared-memory fan-out: zero-copy dispatch and segment lifecycle.
+"""Shared-memory fan-out: zero-copy publication and segment lifecycle.
 
-The publisher owns the segment; these tests pin down the contract that
-it is unlinked on success, on worker failure, and on KeyboardInterrupt —
-a leaked segment outlives the process and eats /dev/shm until reboot,
-so the lifecycle is part of the feature.
+The executor (``repro.api.execution.execute``) publishes each
+int-labelled population once, under its own labels.  The publisher owns
+the segment; these tests pin down the contract that it is unlinked on
+success, on worker failure, and on KeyboardInterrupt — a leaked segment
+outlives the process and eats /dev/shm until reboot, so the lifecycle is
+part of the feature — and that pooled tasks see exactly the labels an
+inline run sees.
 """
 
 from __future__ import annotations
@@ -12,10 +15,9 @@ from multiprocessing import shared_memory
 
 import pytest
 
-import repro.api.sweep as sweep_module
-import repro.engine.replication as replication_module
+from repro.api.execution import run
+from repro.api.spec import RunSpec
 from repro.api.sweep import SweepSpec, run_sweep
-from repro.engine.replication import ReplicatedRunner
 from repro.engine.shared_edges import (
     SharedEdgePopulation,
     shared_memory_available,
@@ -23,6 +25,8 @@ from repro.engine.shared_edges import (
 from repro.core.weights import AttributeWeight
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.io import write_edge_list
+from repro.streams.interner import NodeInterner
+from repro.streams.stream import EdgeStream
 
 
 def segment_exists(name: str) -> bool:
@@ -95,7 +99,7 @@ def test_context_manager_unlinks_on_success_and_failure():
 
 
 # ----------------------------------------------------------------------
-# Replication pool lifecycle
+# Replicated-run pool lifecycle
 # ----------------------------------------------------------------------
 class _PublishRecorder:
     """Wrap publish() to capture the created segment names."""
@@ -113,18 +117,19 @@ class _PublishRecorder:
 @pytest.fixture
 def recorded_publish(monkeypatch):
     recorder = _PublishRecorder()
-    monkeypatch.setattr(
-        replication_module.SharedEdgePopulation, "publish", recorder
-    )
+    monkeypatch.setattr(SharedEdgePopulation, "publish", recorder)
     return recorder
 
 
+def replicated(graph, workers=1, **kwargs):
+    spec = RunSpec(source="<g>", budget=50, replications=2, workers=workers)
+    return run(spec, graph=graph, **kwargs)
+
+
 def test_replication_shared_unlinks_on_success(graph, recorded_publish):
-    summary = ReplicatedRunner(
-        graph, capacity=50, replications=2, max_workers=1, dispatch="shared"
-    ).run()
-    assert summary.dispatch == "shared"
-    assert recorded_publish.names
+    report = replicated(graph)
+    assert report.workers == 1
+    assert len(recorded_publish.names) == 1  # one publish per population
     assert all(not segment_exists(n) for n in recorded_publish.names)
 
 
@@ -148,65 +153,59 @@ def test_replication_shared_unlinks_on_pool_failure(
     monkeypatch.setattr(
         resilient_module, "ProcessPoolExecutor", ExplodingPool
     )
-    runner = ReplicatedRunner(
-        graph, capacity=50, replications=2, max_workers=1, dispatch="shared"
-    )
     with pytest.raises(type(boom)):
-        runner.run()
+        replicated(graph)
     assert recorded_publish.names
     assert all(not segment_exists(n) for n in recorded_publish.names)
 
 
-def test_label_dependent_weight_refuses_shared_dispatch(graph):
+def sparse_labelled(graph):
+    """The graph's edges under non-dense int labels ``7u + 1000``."""
+    return [(7 * u + 1000, 7 * v + 1000)
+            for u, v in EdgeStream.canonical_edges(graph)]
+
+
+def test_label_dependent_weight_sees_original_labels(graph, recorded_publish):
+    """A label-reading weight gets the raw labels from the shared segment."""
+    edges = sparse_labelled(graph)
     weight = AttributeWeight(lambda u, v: 1.0 + (u + v) % 3)
-    with pytest.raises(ValueError, match="label-free"):
-        ReplicatedRunner(
-            graph, capacity=50, replications=2, weight_fn=weight,
-            dispatch="shared",
-        )
-    # Auto dispatch quietly falls back to the pickled path and the
-    # labels reach the weight function unchanged.
-    runner = ReplicatedRunner(
-        graph, capacity=50, replications=2, max_workers=0, weight_fn=weight
-    )
-    assert runner.resolved_dispatch() == "pickle"
-    assert runner.interner is None
-    summary = runner.run()
-    assert summary.metrics["in_stream_triangles"].count == 2
+    pooled = replicated(edges, workers=1, weight_fn=weight)
+    assert recorded_publish.names, "int labels should publish"
+    inline = replicated(edges, workers=0, weight_fn=weight)
+    assert pooled.metrics == inline.metrics
+    assert pooled.metrics["in_stream_triangles"].count == 2
 
 
-def test_unknown_dispatch_rejected(graph):
+def test_unknown_dispatch_rejected():
+    # One transport remains, so the spec has no dispatch option at all.
     with pytest.raises(ValueError, match="dispatch"):
-        ReplicatedRunner(graph, capacity=50, dispatch="carrier-pigeon")
+        RunSpec.from_dict({"source": "g.txt", "dispatch": "pickle"})
 
 
 def test_interned_population_round_trips_labels(graph):
-    runner = ReplicatedRunner(graph, capacity=50, replications=2,
-                              max_workers=0)
-    interner = runner.interner
-    assert interner is not None
-    # Every interned id maps back to an original node label.
-    labels = set(interner.labels)
-    for u, v in graph.edges():
-        assert u in labels and v in labels
+    """An interned population survives publish/attach and maps back."""
+    labelled = [(f"n{u}", f"n{v}") for u, v in graph.edges()]
+    interner = NodeInterner()
+    interned = interner.intern_edges(labelled)
+    with SharedEdgePopulation.publish(interned) as shared:
+        attached = SharedEdgePopulation.attach(shared.descriptor)
+    assert attached == list(interned)
+    labels = interner.labels
+    assert [(labels[u], labels[v]) for u, v in attached] == labelled
 
 
 # ----------------------------------------------------------------------
 # Sweep pool lifecycle
 # ----------------------------------------------------------------------
-def test_sweep_shared_sources_unlink(tmp_path, graph, monkeypatch):
-    recorder = _PublishRecorder()
-    monkeypatch.setattr(
-        sweep_module.SharedEdgePopulation, "publish", recorder
-    )
+def test_sweep_shared_sources_unlink(tmp_path, graph, recorded_publish):
     path = tmp_path / "g.txt"
     write_edge_list(graph, path)
     spec = SweepSpec(sources=(str(path),), methods=("gps-post", "triest"),
                      budgets=(40, 60), runs=1, workers=1)
     report = run_sweep(spec)
     assert len(report.cells) == 4
-    assert recorder.names, "pooled sweep should publish its sources"
-    assert all(not segment_exists(n) for n in recorder.names)
+    assert recorded_publish.names, "pooled sweep should publish its sources"
+    assert all(not segment_exists(n) for n in recorded_publish.names)
 
 
 def test_sweep_shared_vs_inline_bit_identical(tmp_path, graph):
@@ -224,36 +223,65 @@ def test_sweep_shared_vs_inline_bit_identical(tmp_path, graph):
             assert a.metrics[name].variance == b.metrics[name].variance
 
 
-def test_label_reading_method_refuses_interned_dispatch(graph, monkeypatch):
-    """A method registered with reads_labels=True must keep labels."""
+def test_sweep_publishes_raw_labels_bit_identically(tmp_path):
+    """Pooled S>1 cells route the file's own labels, like inline ones.
+
+    The edge hash of the shard router reads labels, so a pool that
+    relabelled its population (dense first-seen ids) would route a
+    different partition than an inline run of the same file.
+    """
+    graph = powerlaw_cluster(600, 3, 0.5, seed=4)
+    path = tmp_path / "sparse.txt"
+    write_edge_list(sparse_labelled(graph), path)
+    base = SweepSpec(sources=(str(path),), methods=("gps-post",),
+                     budgets=(120,), shards=(1, 2), runs=2,
+                     base_stream_seed=3, base_sampler_seed=8, workers=0)
+    inline = run_sweep(base)
+    pooled = run_sweep(base.replace(workers=2))
+    assert len(inline.cells) == len(pooled.cells) == 2
+    for a, b in zip(inline.cells, pooled.cells):
+        assert a.key == b.key
+        assert a.metrics == b.metrics
+        assert [r.estimates for r in a.reports] == [
+            r.estimates for r in b.reports
+        ]
+
+
+def test_label_reading_method_refuses_interned_dispatch(graph, tmp_path):
+    """A method registered with reads_labels=True sees the raw labels in
+    both pools: nothing is ever interned on the way to a worker."""
     import repro.api.registry as registry
 
-    from repro.baselines.triest import TriestBase
+    class MaxLabel:
+        """Reports the largest node label it was fed."""
+
+        def __init__(self):
+            self.triangle_estimate = 0.0
+
+        def process(self, u, v):
+            self.triangle_estimate = float(
+                max(self.triangle_estimate, u, v)
+            )
 
     @registry.register_method(
         "label-reader-test", description="test-only", reads_labels=True
     )
     def _make(budget, stream_length, seed):
-        return TriestBase(budget, seed=seed)
+        return MaxLabel()
 
     try:
-        runner = ReplicatedRunner(
-            graph, capacity=50, replications=2, max_workers=0,
-            method="label-reader-test",
-        )
-        assert runner.interner is None
-        assert runner.resolved_dispatch() == "pickle"
-        with pytest.raises(ValueError, match="label-free"):
-            ReplicatedRunner(
-                graph, capacity=50, replications=2,
-                method="label-reader-test", dispatch="shared",
-            )
-        # The sweep fan-out gate sees it too.
-        spec = SweepSpec(sources=("whatever.txt",),
-                         methods=("label-reader-test", "triest"))
-        assert not sweep_module._grid_label_free(spec)
-        assert sweep_module._grid_label_free(
-            spec.replace(methods=("triest",))
-        )
+        edges = sparse_labelled(graph)
+        top = float(max(max(edge) for edge in edges))
+        spec = RunSpec(source="<g>", method="label-reader-test", budget=5,
+                       replications=2, workers=1)
+        assert run(spec, graph=edges).metrics["triangles"].mean == top
+        path = tmp_path / "sparse.txt"
+        write_edge_list(edges, path)
+        report = run_sweep(SweepSpec(
+            sources=(str(path),), methods=("label-reader-test", "triest"),
+            budgets=(40,), runs=2, workers=2,
+        ))
+        cell = report.cell(str(path), "label-reader-test")
+        assert [r.estimates["triangles"] for r in cell.reports] == [top, top]
     finally:
         registry._METHODS.pop("label-reader-test", None)

@@ -18,7 +18,7 @@ from repro.api.ground_truth import (
     content_key,
     source_descriptor,
 )
-from repro.api.sweep import CellKey
+from repro.api.sweep import CellKey, cell_report_key
 from repro.graph.exact import compute_statistics
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.io import read_edge_list, write_edge_list
@@ -382,6 +382,16 @@ class TestBudgetPolicy:
 
 
 class TestSweepCacheResume:
+    def test_cell_report_key_is_pinned(self):
+        """Existing caches keep resuming: the content address of a fixed
+        spec must not move when execution code changes."""
+        spec = RunSpec(source="g.txt", method="gps-post", budget=400,
+                       weight="uniform", stream_seed=2, sampler_seed=5,
+                       shards=4)
+        assert cell_report_key(spec, False, "ab" * 32) == (
+            "6b01461c4f1270a141c245da751d578f9212f64d9f9052cd63251c49e5d44b6f"
+        )
+
     def test_resume_serves_cells_from_cache_bit_equivalently(
         self, small_spec, tmp_path
     ):
