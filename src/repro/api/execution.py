@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -55,12 +54,12 @@ from repro.engine.stream_engine import EngineStats, StreamEngine
 from repro.faults.injector import coerce_injector
 from repro.stats.confidence import confidence_interval
 from repro.stats.running import RunningMoments
-from repro.streams.chunks import DEFAULT_CHUNK_SIZE, int32_labelled
+from repro.streams.chunks import DEFAULT_CHUNK_SIZE
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.exact import ExactStreamCounter
-from repro.graph.io import iter_edge_list
+from repro.graph.io import iter_edge_list, read_edge_columns
 from repro.streams.stream import EdgeStream
-from repro.streams.transforms import simplify_edges
+from repro.streams.transforms import simplify_columns, simplify_edges
 
 Edge = Tuple[Any, Any]
 
@@ -317,7 +316,7 @@ class RunReport:
 # ----------------------------------------------------------------------
 # Source resolution
 # ----------------------------------------------------------------------
-def _resolve_edges(source: str, graph: Optional[Any]) -> List[Edge]:
+def _resolve_edges(source: str, graph: Optional[Any]) -> EdgeStream:
     """The edge population a spec streams, in canonical (pre-shuffle) order.
 
     Resolution order: an explicitly passed graph/edge sequence wins, then
@@ -325,31 +324,32 @@ def _resolve_edges(source: str, graph: Optional[Any]) -> List[Edge]:
     to the same repr-sorted order :meth:`EdgeStream.from_graph` shuffles,
     so seeded permutations are bit-identical to the legacy entry points;
     files keep their arrival order (the stream seed then permutes it).
+    An :class:`EdgeStream` passes through as is, so a population the
+    executor holds keeps its cached views across tasks.  Integer edge
+    lists parse, simplify and stay as int32 columns
+    (:func:`~repro.graph.io.read_edge_columns`); any file the columnar
+    reader declines takes the reference tuple path, with equal edges.
     """
     if graph is not None:
+        if isinstance(graph, EdgeStream):
+            return graph
         if isinstance(graph, AdjacencyGraph):
-            return EdgeStream.canonical_edges(graph)
-        return list(graph)
+            return EdgeStream(EdgeStream.canonical_edges(graph))
+        return EdgeStream(graph)
     # Lazy import: repro.experiments.runner imports this module.
     from repro.experiments.datasets import DATASETS, make_graph
 
     if source in DATASETS:
-        return EdgeStream.canonical_edges(make_graph(source))
+        return EdgeStream(EdgeStream.canonical_edges(make_graph(source)))
     if os.path.exists(source):
-        return list(simplify_edges(iter_edge_list(source)))
+        columns = read_edge_columns(source)
+        if columns is not None:
+            return EdgeStream.from_columns(*simplify_columns(*columns))
+        return EdgeStream(list(simplify_edges(iter_edge_list(source))))
     raise ValueError(
         f"cannot resolve source {source!r}: not a registered dataset "
         f"and no such file"
     )
-
-
-def _permute(edges: Sequence[Edge], stream_seed: Optional[int]) -> EdgeStream:
-    """Seeded arrival permutation; ``None`` keeps the source order."""
-    if stream_seed is None:
-        return EdgeStream.from_edges(edges)
-    order = list(edges)
-    random.Random(stream_seed).shuffle(order)
-    return EdgeStream(order)
 
 
 def _resolve_weight(
@@ -400,9 +400,9 @@ def _chunk_size_for(
     original tuples), the counter's admission gate is actually
     vectorised (``chunk_vectorized``; false for e.g. the in-stream
     estimator, whose per-arrival snapshot leaves nothing to gate), and
-    the stream columnarises — its labels already are int32 ints, so no
-    relabelling ever happens on this path and samples, checkpoints and
-    reports stay label-faithful.  Every fallback is bit-identical,
+    the population columnarises — its labels already are int32 ints, so
+    no relabelling ever happens on this path and samples, checkpoints
+    and reports stay label-faithful.  Every fallback is bit-identical,
     just scalar-speed.
     """
     if spec.pipeline != "chunked":
@@ -501,17 +501,22 @@ def run(
             spec, mode="single", method=method, counter=counter, stats=stats
         )
 
-    edges = _resolve_edges(spec.source, graph)
+    population = _resolve_edges(spec.source, graph)
 
     if spec.shards > 1:
-        return _run_sharded(spec, edges, resolved_weight)
+        return _run_sharded(spec, population, resolved_weight)
 
-    stream = _permute(edges, spec.stream_seed)
     counter = method.make(
-        spec.budget, len(stream), spec.sampler_seed, weight_fn=resolved_weight,
-        core=spec.core,
+        spec.budget, len(population), spec.sampler_seed,
+        weight_fn=resolved_weight, core=spec.core,
     )
-    chunk_size = _chunk_size_for(spec, method, resolved_weight, counter, stream)
+    chunk_size = _chunk_size_for(
+        spec, method, resolved_weight, counter, population
+    )
+    # A chunked pass permutes the int32 columns and never builds a tuple.
+    stream = population.permuted(
+        spec.stream_seed, columns=chunk_size is not None
+    )
     if spec.checkpoints > 0:
         return _run_tracking(
             spec, method, counter, stream, include_post, chunk_size
@@ -563,7 +568,7 @@ def replicate(
 
 def _run_sharded(
     spec: RunSpec,
-    edges: Sequence[Edge],
+    population: EdgeStream,
     weight_fn: Optional[WeightFunction],
 ) -> RunReport:
     """One sharded pass: route across ``spec.shards`` samplers and merge.
@@ -576,7 +581,7 @@ def _run_sharded(
     from repro.shard.spec import ShardSpec
 
     result = ShardedRunner.from_layout(
-        edges,
+        population,
         ShardSpec(shards=spec.shards),
         budget=spec.budget,
         method=spec.method,
@@ -727,13 +732,17 @@ def execute(
 
     Every distinct ``spec.source`` resolves once — from ``populations``
     when the caller already holds it, else from the dataset registry or
-    the file.  Inline execution holds one source at a time (sweep specs
-    come grouped by source).  In pool mode a population whose labels
-    are all int32 ints is published once through
+    the file — into one :class:`~repro.streams.stream.EdgeStream` that
+    every task of that source shares, so its columns and tuple view are
+    built at most once per process.  Inline execution holds one source
+    at a time (sweep specs come grouped by source).  In pool mode a
+    population whose labels are all int32 ints is published once,
+    straight from its columns, through
     :class:`~repro.engine.shared_edges.SharedEdgePopulation` under its
-    own labels, and any other population travels in the pool
-    initializer's arguments; either way a label-reading weight or
-    router sees the original labels.  The pool is
+    own labels, and workers attach it as a column-backed stream; any
+    other population travels in the pool initializer's arguments.
+    Either way a label-reading weight or router sees the original
+    labels.  The pool is
     :func:`~repro.engine.resilient.run_resilient`: failed tasks are
     resubmitted up to ``retry_budget`` times, a broken pool is rebuilt
     (re-publishing lost segments), ``faults`` are consulted at
@@ -753,7 +762,7 @@ def execute(
     """
     given = populations or {}
 
-    def population(source: str) -> List[Edge]:
+    def population(source: str) -> EdgeStream:
         return _resolve_edges(source, given.get(source))
 
     if workers == 0:
@@ -788,7 +797,7 @@ def execute(
         lost = []
         for source, descriptor in shared.items():
             try:
-                SharedEdgePopulation.attach(descriptor)
+                SharedEdgePopulation.attach_columns(descriptor)
             except (OSError, ValueError):
                 lost.append(source)
         for source in lost:
@@ -798,7 +807,7 @@ def execute(
     try:
         if shared_memory_available():
             for source, edges in edges_of.items():
-                if int32_labelled(edges):
+                if edges.columnar() is not None:
                     publish(source)
         return run_resilient(
             _pool_task,
@@ -842,11 +851,13 @@ def _pool_initializer(
     weight_fn: Optional[WeightFunction],
     include_post: bool,
 ) -> None:
-    """Attach each published population once per worker."""
+    """Attach each published population once per worker, as columns."""
     global _WORKER_STATE
     populations = dict(pickled)
     for source, descriptor in shared.items():
-        populations[source] = SharedEdgePopulation.attach(descriptor)
+        populations[source] = EdgeStream.from_columns(
+            *SharedEdgePopulation.attach_columns(descriptor)
+        )
     _WORKER_STATE = (populations, weight_fn, include_post)
 
 

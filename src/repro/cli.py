@@ -91,7 +91,7 @@ from repro.core.post_stream import PostStreamEstimator
 from repro.core.subgraphs import CliqueEstimator, StarEstimator
 from repro.experiments import figure1, figure2, figure3, table1, table2, table3
 from repro.graph.exact import compute_statistics
-from repro.graph.io import read_edge_list
+from repro.graph.io import EdgeListError, read_edge_list
 from repro.graph.motifs import count_motifs
 
 ARTEFACTS = {
@@ -428,7 +428,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "bench": _cmd_bench,
         "reproduce": _cmd_reproduce,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except EdgeListError as exc:
+        # A malformed input file is the user's to fix: one line, no
+        # traceback.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 # ----------------------------------------------------------------------

@@ -5,14 +5,16 @@ a seeded permutation of one shared edge population.  Shipping that
 population to each worker as pickled tuples costs O(|K|) per worker;
 this module makes the per-worker cost a fixed-size descriptor instead:
 
-* the parent publishes the flat ``int32`` label array **once** through
-  :mod:`multiprocessing.shared_memory` — only populations whose labels
-  already are int32 ints (:func:`repro.streams.chunks.int32_labelled`),
-  so nothing is relabelled and every label-reading weight or router
-  downstream sees the original labels;
+* the parent publishes the population's ``int32`` columns **once**
+  through :mod:`multiprocessing.shared_memory` (the u column, then the v
+  column) — only populations whose labels already are int32 ints
+  (:meth:`repro.streams.stream.EdgeStream.columnar`), so nothing is
+  relabelled and every label-reading weight or router downstream sees
+  the original labels.  A column-backed population (a parsed edge-list
+  file) publishes without a tuple ever being built;
 * each worker attaches to the segment by name — the only thing that
   crosses the process boundary is a ``(segment name, edge count)``
-  descriptor of a few dozen bytes — copies the labels out, and closes
+  descriptor of a few dozen bytes — copies the columns out, and closes
   its mapping.
 
 Lifecycle: the publishing side owns the segment and must
@@ -26,18 +28,18 @@ parent's unlink retires them all.
 
 from __future__ import annotations
 
-from array import array
-from itertools import chain
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Tuple, Union
+
+import numpy as np
+
+from repro.streams.stream import EdgeStream
 
 try:  # pragma: no cover - absent only on exotic platforms
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover
     _shared_memory = None
 
-#: 4-byte signed int typecode ("i" on every mainstream CPython build).
-_TYPECODE = "i" if array("i").itemsize == 4 else "l"
-_ITEMSIZE = array(_TYPECODE).itemsize
+_ITEMSIZE = np.dtype(np.int32).itemsize
 
 InternedEdge = Tuple[int, int]
 
@@ -73,19 +75,26 @@ class SharedEdgePopulation:
     # ------------------------------------------------------------------
     @classmethod
     def publish(
-        cls, edges: Sequence[InternedEdge]
+        cls, edges: Union[EdgeStream, Iterable[InternedEdge]]
     ) -> "SharedEdgePopulation":
-        """Copy ``edges`` (int32-range int pairs) into a new shared segment."""
+        """Copy a population's int32 columns into a new shared segment.
+
+        ``edges`` is an :class:`~repro.streams.stream.EdgeStream` (its
+        cached columns are copied as they are) or any sequence of
+        int32-range int pairs; anything else raises ``ValueError``.
+        """
         if _shared_memory is None:  # pragma: no cover
             raise RuntimeError("multiprocessing.shared_memory is unavailable")
-        flat = array(_TYPECODE, chain.from_iterable(edges))
-        num_edges, remainder = divmod(len(flat), 2)
-        if remainder:
-            raise ValueError("edges must be (u, v) pairs")
-        shm = _shared_memory.SharedMemory(
-            create=True, size=max(1, len(flat) * _ITEMSIZE)
-        )
-        shm.buf[: len(flat) * _ITEMSIZE] = flat.tobytes()
+        if not isinstance(edges, EdgeStream):
+            edges = EdgeStream(edges)
+        columns = edges.columnar()
+        if columns is None:
+            raise ValueError("only int32-labelled (u, v) pairs can be published")
+        num_edges = len(columns[0])
+        size = num_edges * _ITEMSIZE
+        shm = _shared_memory.SharedMemory(create=True, size=max(1, 2 * size))
+        shm.buf[:size] = columns[0].astype(np.int32, copy=False).tobytes()
+        shm.buf[size:2 * size] = columns[1].astype(np.int32, copy=False).tobytes()
         return cls(shm, num_edges)
 
     @property
@@ -125,22 +134,29 @@ class SharedEdgePopulation:
     # Attaching side (workers)
     # ------------------------------------------------------------------
     @staticmethod
-    def attach(descriptor: Descriptor) -> List[InternedEdge]:
-        """Rebuild the edge list from a published segment.
+    def attach_columns(descriptor: Descriptor) -> Tuple[np.ndarray, np.ndarray]:
+        """Copy a published segment's ``(u, v)`` int32 columns out.
 
-        Copies the ids out and closes the mapping immediately, so the
-        worker holds no reference to the segment afterwards.
+        Closes the mapping immediately, so the worker holds no reference
+        to the segment afterwards.
         """
         if _shared_memory is None:  # pragma: no cover
             raise RuntimeError("multiprocessing.shared_memory is unavailable")
         name, num_edges = descriptor
         shm = _shared_memory.SharedMemory(name=name)
         try:
-            flat = array(_TYPECODE)
-            flat.frombytes(shm.buf[: 2 * num_edges * _ITEMSIZE])
+            flat = np.frombuffer(
+                shm.buf, dtype=np.int32, count=2 * num_edges
+            ).copy()
         finally:
             shm.close()
-        return list(zip(flat[0::2], flat[1::2]))
+        return flat[:num_edges], flat[num_edges:]
+
+    @classmethod
+    def attach(cls, descriptor: Descriptor) -> List[InternedEdge]:
+        """Rebuild the edge list from a published segment."""
+        us, vs = cls.attach_columns(descriptor)
+        return list(zip(us.tolist(), vs.tolist()))
 
 
 __all__ = [

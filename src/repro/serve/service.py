@@ -355,6 +355,11 @@ class SamplingService:
             self._publish()
         except Exception as exc:  # noqa: BLE001 - surfaced via join()
             self._errors.append(f"drive: {exc!r}")
+        finally:
+            # Queries answer from the published snapshots, so a finished
+            # drive's sampler is dead weight for as long as a caller
+            # keeps the service (its final answers, its status).
+            self._counter = self._engine = None
 
     def _chunk_boundary(self, position: int) -> None:
         self._chunks_processed += 1

@@ -22,12 +22,17 @@ by :func:`make_source`:
 * :class:`SyntheticSource` — a seeded uniform edge generator, the
   steady-state stream of the sustained-load benchmark.
 * :class:`SocketLineSource` — a ``tcp://host:port`` line protocol
-  (``u v`` per line; comment lines ignored), for live feeds.  With a
+  (``u v`` per line), for live feeds.  With a
   retry budget it is *supervised*: a dropped connection reconnects
   under capped exponential backoff with seeded jitter, and — because
   the reference feed shape replays from the start of the stream — the
   source skips the edges it already delivered, so the downstream
   sampler never sees a duplicate or a gap.
+
+The text sources (a followed file, a socket) read each line by
+:func:`repro.graph.io.edge_tokens`, the line rule of the batch file
+reader: ``#``/``%``/``//`` comments, blank and one-token lines are
+skipped.
 
 Every source accepts an optional :class:`~repro.faults.FaultInjector`
 and consults it per raw block, which is how the chaos suite provokes
@@ -46,6 +51,7 @@ import numpy as np
 
 from repro.faults.backoff import backoff_delay
 from repro.faults.injector import FaultInjector, inject_source_faults
+from repro.graph.io import edge_tokens
 from repro.serve.spec import SYNTHETIC_SOURCE, TCP_PREFIX, ServeSpec
 from repro.streams.chunks import DEFAULT_CHUNK_SIZE
 
@@ -159,11 +165,11 @@ class ResolvedSource:
         self._faults = faults
 
     def __iter__(self) -> Iterator[Block]:
-        # Lazy imports: execution pulls the dataset registry.
-        from repro.api.execution import _permute, _resolve_edges
+        # Lazy import: execution pulls the dataset registry.
+        from repro.api.execution import _resolve_edges
 
-        edges = _resolve_edges(self._source, None)
-        stream = _permute(edges, self._stream_seed)
+        population = _resolve_edges(self._source, None)
+        stream = population.permuted(self._stream_seed, columns=True)
         return _limit_blocks(
             _with_faults(stream.chunks(self._chunk_size), self._faults, 0.01),
             self._max_edges,
@@ -222,11 +228,11 @@ class FileTailSource:
         us: List[int] = []
         vs: List[int] = []
         for line in lines:
-            parts = line.split()
-            if len(parts) < 2 or parts[0].startswith("#"):
+            tokens = edge_tokens(line)
+            if tokens is None:
                 continue
-            us.append(int(parts[0]))
-            vs.append(int(parts[1]))
+            us.append(int(tokens[0]))
+            vs.append(int(tokens[1]))
         if not us:
             return None
         return (
@@ -372,14 +378,14 @@ class SocketLineSource:
         with socket.create_connection((self._host, self._port)) as conn:
             with conn.makefile("r", encoding="utf-8") as handle:
                 for line in handle:
-                    parts = line.split()
-                    if len(parts) < 2 or parts[0].startswith("#"):
+                    tokens = edge_tokens(line)
+                    if tokens is None:
                         continue
                     if remaining > 0:
                         remaining -= 1
                         continue
-                    us.append(int(parts[0]))
-                    vs.append(int(parts[1]))
+                    us.append(int(tokens[0]))
+                    vs.append(int(tokens[1]))
                     if len(us) >= self._chunk_size:
                         yield (
                             np.asarray(us, dtype=np.int32),

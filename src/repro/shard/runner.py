@@ -3,8 +3,9 @@
 One sharded pass is:
 
 1. **permute** — the stream permutation seeded exactly like every other
-   entry point (index-permutation trick on columnar streams, so the
-   arrival order is bit-identical to the scalar shuffle);
+   entry point (:meth:`~repro.streams.stream.EdgeStream.permuted`: int32
+   columns on the chunked drive, tuples on the scalar one, the same
+   arrival order either way);
 2. **route** — the seeded splitmix64 edge hash
    (:mod:`repro.shard.router`) assigns every canonical edge to one of
    ``S`` shards; boolean-mask selection keeps each substream in arrival
@@ -27,7 +28,6 @@ runs and sweep grids that contain sharded passes fan them out through
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,11 +45,8 @@ from repro.engine.stream_engine import (
 from repro.shard.router import shard_columns, split_stream
 from repro.shard.spec import ShardSpec
 from repro.stats.merge import ShardRecord, merge_estimates
-from repro.streams.chunks import (
-    DEFAULT_CHUNK_SIZE,
-    columnar_or_none,
-    numpy_or_none,
-)
+from repro.streams.chunks import DEFAULT_CHUNK_SIZE, numpy_or_none
+from repro.streams.stream import EdgeStream
 
 #: Methods whose counters expose a GPS reservoir the HT merge can read.
 #: The merged path is post-stream only — in-stream (Algorithm 3)
@@ -91,26 +88,6 @@ class ShardedResult:
     shard_thresholds: Tuple[float, ...]
 
 
-class _ColumnStream:
-    """Routed columns presented through the engine's ``chunks`` protocol."""
-
-    __slots__ = ("_us", "_vs")
-
-    def __init__(self, us, vs) -> None:
-        self._us = us
-        self._vs = vs
-
-    def __len__(self) -> int:
-        return len(self._us)
-
-    def __iter__(self):
-        return zip(self._us.tolist(), self._vs.tolist())
-
-    def chunks(self, size: int):
-        for at in range(0, len(self._us), size):
-            yield self._us[at:at + size], self._vs[at:at + size]
-
-
 def _extract_sample(counter: Any) -> Tuple[List[ShardRecord], int, float]:
     """A shard's reservoir as ``(u, v, p)`` records at its threshold."""
     sampler = getattr(counter, "sampler", counter)
@@ -123,18 +100,11 @@ def _extract_sample(counter: Any) -> Tuple[List[ShardRecord], int, float]:
     return records, sampler.sample_size, threshold
 
 
-def _permuted_columns(columns, stream_seed: Optional[int]):
-    """The stream permutation on columns, bit-identical to tuple shuffle."""
-    if stream_seed is None:
-        return columns
-    np = numpy_or_none()
-    n = len(columns[0])
-    # Shuffling an index permutation consumes the very same RNG sequence
-    # as shuffling the edge list (Fisher-Yates swaps are value-blind).
-    perm = list(range(n))
-    random.Random(stream_seed).shuffle(perm)
-    idx = np.asarray(perm, dtype=np.intp)
-    return columns[0][idx], columns[1][idx]
+def _int_labelled(population: EdgeStream) -> bool:
+    """Whether every label is an int; free when columns are at hand."""
+    return population.has_columns or all(
+        isinstance(u, int) and isinstance(v, int) for u, v in population
+    )
 
 
 def _drive_shard(counter: Any, substream, chunked: bool):
@@ -153,7 +123,11 @@ class ShardedRunner:
     ----------
     edges:
         The edge population in canonical (pre-shuffle) order, exactly as
-        ``run(spec)`` resolves it.
+        ``run(spec)`` resolves it: an
+        :class:`~repro.streams.stream.EdgeStream` (shared, never copied)
+        or any sequence of ``(u, v)`` pairs.  Every label must be an
+        int — the router mixes 64-bit integers — and a ``ValueError``
+        says so otherwise.
     shards:
         Number of samplers; must divide ``budget`` evenly.
     budget:
@@ -206,11 +180,10 @@ class ShardedRunner:
         validate_shardable_method(method)
         validate_core(core)
         validate_pipeline(pipeline)
-        self._edges = list(edges)
-        if self._edges and not (
-            isinstance(self._edges[0][0], int)
-            and isinstance(self._edges[0][1], int)
-        ):
+        self._population = (
+            edges if isinstance(edges, EdgeStream) else EdgeStream(edges)
+        )
+        if not _int_labelled(self._population):
             raise ValueError(
                 "sharded execution requires integer node labels (the "
                 "edge-hash router mixes 64-bit integers); intern the "
@@ -270,7 +243,7 @@ class ShardedRunner:
         )
         if not getattr(probe, "chunk_vectorized", False):
             return None
-        return columnar_or_none(self._edges)
+        return self._population.columnar()
 
     # ------------------------------------------------------------------
     def run(
@@ -288,18 +261,18 @@ class ShardedRunner:
         # Wall time feeds only the throughput report, never an estimate.
         started = time.perf_counter()  # repro-lint: disable=nondet-ban
         columns = self._chunk_columns
+        stream = self._population.permuted(
+            stream_seed, columns=columns is not None
+        )
         if columns is not None:
-            us, vs = _permuted_columns(columns, stream_seed)
+            us, vs = stream.columnar()
             ids = shard_columns(us, vs, self._shards, self._router_seed)
             substreams = [
-                _ColumnStream(us[ids == s], vs[ids == s])
+                EdgeStream.from_columns(us[ids == s], vs[ids == s])
                 for s in range(self._shards)
             ]
         else:
-            order = list(self._edges)
-            if stream_seed is not None:
-                random.Random(stream_seed).shuffle(order)
-            substreams = split_stream(order, self._shards, self._router_seed)
+            substreams = split_stream(stream, self._shards, self._router_seed)
         method = _get_method(self._method)
         samples: List[List[ShardRecord]] = []
         sizes: List[int] = []
@@ -325,13 +298,13 @@ class ShardedRunner:
             wedge_count=merged.wedge_count,
             wedge_variance=merged.wedge_variance,
             tri_wedge_covariance=merged.tri_wedge_covariance,
-            stream_position=len(self._edges),
+            stream_position=len(self._population),
             sample_size=merged.sample_size,
             threshold=max(thresholds) if thresholds else 0.0,
         )
         return ShardedResult(
             estimates=estimates,
-            edges=len(self._edges),
+            edges=len(self._population),
             shards=self._shards,
             elapsed_seconds=time.perf_counter()  # repro-lint: disable=nondet-ban
             - started,

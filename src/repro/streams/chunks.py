@@ -12,10 +12,14 @@ Python loop iteration per loser.
 
 Three producers exist:
 
-* :meth:`repro.streams.stream.EdgeStream.chunks` — columnarises a
-  materialised stream once (cached) and yields zero-copy slices;
+* :meth:`repro.streams.stream.EdgeStream.chunks` — zero-copy slices of
+  the stream's int32 columns: those of a column-backed stream (an
+  edge-list file parsed by :func:`repro.graph.io.read_edge_columns`, a
+  population attached from shared memory), or a tuple stream's columns
+  converted once and cached;
 * :func:`repro.graph.io.iter_edge_chunks` — reads an edge-list file as
-  blocks without ever materialising the whole stream;
+  blocks without ever materialising the whole stream, parsing one byte
+  slab (about one block) at a time with numpy;
 * :func:`iter_chunks` here — adapts any lazy ``(u, v)`` iterable, one
   block's worth of pairs in memory at a time.
 

@@ -6,6 +6,13 @@ constructor, :meth:`EdgeStream.from_graph`, randomly permutes a graph's
 edge set with an explicit seed — exactly the experimental setup of Sec. 6
 ("We generate the graph stream by randomly permuting the set of edges in
 each graph").
+
+A stream is backed by ``(u, v)`` tuples or by int32 columns
+(:meth:`EdgeStream.from_columns`, what the columnar file reader and the
+shared-memory fan-out produce).  Each view is built from the other on
+first use and cached, so a column-backed stream feeds the chunked engine
+without a tuple ever existing, and a scalar pass pays for its tuples
+once per stream.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ class EdgeStream:
     __slots__ = ("_edges", "_columns")
 
     def __init__(self, edges: Sequence[Tuple[Node, Node]]) -> None:
-        self._edges: List[Tuple[Node, Node]] = list(edges)
+        self._edges: Optional[List[Tuple[Node, Node]]] = list(edges)
         self._columns = None  # lazily built by columnar(); False = can't
 
     # ------------------------------------------------------------------
@@ -64,6 +71,32 @@ class EdgeStream:
         """Stream with the given explicit arrival order."""
         return cls(list(edges))
 
+    @classmethod
+    def from_columns(cls, us, vs) -> "EdgeStream":
+        """Stream over equal-length int32 columns, in their order.
+
+        The columns carry the labels themselves (no relabelling); the
+        tuple view is built only if something iterates the stream.
+
+        >>> import numpy as np
+        >>> column = np.array([0, 1], dtype=np.int32)
+        >>> list(EdgeStream.from_columns(column, column + 1))
+        [(0, 1), (1, 2)]
+        """
+        if len(us) != len(vs):
+            raise ValueError("edge columns must have equal length")
+        stream = cls.__new__(cls)
+        stream._edges = None
+        stream._columns = (us, vs)
+        return stream
+
+    def _pairs(self) -> List[Tuple[Node, Node]]:
+        """The tuple view, built from the columns once and cached."""
+        if self._edges is None:
+            us, vs = self._columns
+            self._edges = list(zip(us.tolist(), vs.tolist()))
+        return self._edges
+
     def interned(
         self, interner: Optional[NodeInterner] = None
     ) -> Tuple["EdgeStream", NodeInterner]:
@@ -75,14 +108,46 @@ class EdgeStream:
         :class:`~repro.streams.interner.NodeInterner` mapping ids back to
         the original labels.  Interning changes no estimate — every
         metric in the repo is label-free — and is what the compact core
-        and the shared-memory replication fan-out run on.
+        runs on when labels are not already int32 ints.
 
         >>> stream, interner = EdgeStream([("a", "b"), ("b", "c")]).interned()
         >>> list(stream), interner.label(2)
         ([(0, 1), (1, 2)], 'c')
         """
         interner = interner if interner is not None else NodeInterner()
-        return EdgeStream(interner.intern_edges(self._edges)), interner
+        return EdgeStream(interner.intern_edges(self._pairs())), interner
+
+    def permuted(
+        self, seed: Optional[int], *, columns: bool = False
+    ) -> "EdgeStream":
+        """The seeded arrival permutation of this stream.
+
+        ``random.Random(seed).shuffle`` runs on an index list, then the
+        edges are gathered.  Fisher–Yates swaps are value-blind, so this
+        draws exactly what shuffling the edges themselves would and the
+        order is the one every entry point shares.  ``columns=True``
+        gathers the int32 columns (for the chunked engine, which never
+        needs a tuple); otherwise the cached tuple view is gathered, so
+        repeated scalar passes over one population build it once.
+        ``seed=None`` keeps the order and returns this stream.
+
+        >>> stream = EdgeStream([(0, 1), (1, 2), (2, 3)])
+        >>> order = list(stream)
+        >>> random.Random(5).shuffle(order)
+        >>> list(stream.permuted(5)) == order
+        True
+        """
+        if seed is None:
+            return self
+        order = list(range(len(self)))
+        random.Random(seed).shuffle(order)
+        if columns:
+            us, vs = self._require_columns()
+            np = numpy_or_none()
+            index = np.fromiter(order, dtype=np.intp, count=len(order))
+            return EdgeStream.from_columns(us[index], vs[index])
+        edges = self._pairs()
+        return EdgeStream([edges[i] for i in order])
 
     # ------------------------------------------------------------------
     # Columnar (chunked) access
@@ -94,7 +159,7 @@ class EdgeStream:
         integer — then the columns carry the original labels and the
         chunked pipeline is label-faithful (no interning).  The result
         is cached: repeated :meth:`chunks` calls pay the conversion
-        once.
+        once, and a column-backed stream never converts.
 
         >>> EdgeStream([(0, 1), (1, 2)]).columnar()[0].tolist()
         [0, 1]
@@ -105,6 +170,24 @@ class EdgeStream:
             built = columnar_or_none(self._edges)
             self._columns = False if built is None else built
         return None if self._columns is False else self._columns
+
+    @property
+    def has_columns(self) -> bool:
+        """Whether int32 columns are at hand (labels are int32 ints).
+
+        Never builds them: true for column-backed streams and for tuple
+        streams whose :meth:`columnar` already succeeded.
+        """
+        return self._columns is not None and self._columns is not False
+
+    def _require_columns(self):
+        columns = self.columnar()
+        if columns is None:
+            raise TypeError(
+                "stream labels are not int32-range ints; pass a "
+                "NodeInterner to intern them to dense ids"
+            )
+        return columns
 
     def chunks(
         self,
@@ -130,15 +213,10 @@ class EdgeStream:
             raise RuntimeError(
                 "columnar chunks need numpy, which is unavailable"
             )
-        columns = self.columnar()
-        if columns is None:
-            if interner is None:
-                raise TypeError(
-                    "stream labels are not int32-range ints; pass a "
-                    "NodeInterner to intern them to dense ids"
-                )
-            columns = columnar_or_none(interner.intern_edges(self._edges))
-        u, v = columns
+        if self.columnar() is None and interner is not None:
+            u, v = columnar_or_none(interner.intern_edges(self._edges))
+        else:
+            u, v = self._require_columns()
         for start in range(0, len(u), size):
             yield u[start:start + size], v[start:start + size]
 
@@ -146,29 +224,35 @@ class EdgeStream:
     # Sequence-ish protocol
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[Tuple[Node, Node]]:
-        return iter(self._edges)
+        return iter(self._pairs())
 
     def __len__(self) -> int:
+        if self._edges is None:
+            return len(self._columns[0])
         return len(self._edges)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return EdgeStream(self._edges[index])
-        return self._edges[index]
+            return EdgeStream(self._pairs()[index])
+        return self._pairs()[index]
 
     def prefix(self, length: int) -> "EdgeStream":
         """The first ``length`` arrivals as a new stream."""
+        if self._edges is None:
+            us, vs = self._columns
+            return EdgeStream.from_columns(us[:length], vs[:length])
         return EdgeStream(self._edges[:length])
 
     def prefix_graph(self, length: Optional[int] = None) -> AdjacencyGraph:
         """The (simple) graph formed by the first ``length`` arrivals."""
-        upto = len(self._edges) if length is None else length
-        return AdjacencyGraph(self._edges[:upto])
+        edges = self._pairs()
+        upto = len(edges) if length is None else length
+        return AdjacencyGraph(edges[:upto])
 
     def enumerate(self, start: int = 1) -> Iterator[Tuple[int, Tuple[Node, Node]]]:
         """Iterate ``(t, (u, v))`` with arrival index ``t`` starting at 1."""
         t = start
-        for edge in self._edges:
+        for edge in self._pairs():
             yield t, edge
             t += 1
 
@@ -185,7 +269,7 @@ class EdgeStream:
         """
         if count <= 0:
             return []
-        n = len(self._edges)
+        n = len(self)
         if count >= n:
             return list(range(1, n + 1))
         step = n / count
@@ -198,4 +282,4 @@ class EdgeStream:
         return marks
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EdgeStream(len={len(self._edges)})"
+        return f"EdgeStream(len={len(self)})"

@@ -25,9 +25,12 @@ import repro.api.sweep
 import repro.core.compact
 import repro.core.weights
 import repro.engine.shared_edges
+import repro.graph.io
 import repro.heap.slot_heap
 import repro.streams.chunks
 import repro.streams.interner
+import repro.streams.stream
+import repro.streams.transforms
 
 MODULES = [
     repro.analysis,
@@ -42,9 +45,12 @@ MODULES = [
     repro.core.compact,
     repro.core.weights,
     repro.engine.shared_edges,
+    repro.graph.io,
     repro.heap.slot_heap,
     repro.streams.chunks,
     repro.streams.interner,
+    repro.streams.stream,
+    repro.streams.transforms,
 ]
 
 

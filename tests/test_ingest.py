@@ -1,0 +1,487 @@
+"""Columnar file ingest: the int32 edge-list reader against its reference.
+
+The columnar reader (``parse_edge_columns`` and the byte slabs behind
+``read_edge_columns``/``iter_edge_chunks``/``read_edge_list``) must
+either reproduce the reference line loop ``iter_edge_list`` exactly or
+decline; ``simplify_columns`` must equal ``simplify_edges``; the index
+permutation must equal a tuple shuffle; and ``run(spec)`` over a file
+must report exactly what it reports over the same edges passed as
+tuples, on every path (single, tracking, replicated inline and pooled,
+sharded).
+"""
+
+from __future__ import annotations
+
+import random
+import socket
+import threading
+import time
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.graph.io as io_module
+from repro.api import RunSpec, run
+from repro.api.registry import method_specs, weight_names
+from repro.cli import main
+from repro.engine.shared_edges import SharedEdgePopulation
+from repro.graph.adjacency import AdjacencyGraph
+from repro.graph.generators import powerlaw_cluster
+from repro.graph.io import (
+    EdgeListError,
+    iter_edge_chunks,
+    iter_edge_list,
+    parse_edge_columns,
+    read_edge_columns,
+    read_edge_list,
+)
+from repro.serve.source import FileTailSource, SocketLineSource
+from repro.shard.runner import ShardedRunner
+from repro.streams.chunks import iter_chunks
+from repro.streams.stream import EdgeStream
+from repro.streams.transforms import simplify_columns, simplify_edges
+
+INT32_MAX = 2**31 - 1
+
+#: Labels the reference reads but the columnar reader must decline
+#: (``+``, ``_``, leading zeros past its width cap, ids past ±2³¹,
+#: non-ASCII digits) or handle (``-0``, short leading zeros, ±2³¹ edges),
+#: and labels the reference rejects.
+HOSTILE_LABELS = (
+    "-0", "007", "+5", "1_0", "2147483647", "2147483648", "-2147483648",
+    "-2147483649", "00000000000000000000001", "99999999999", "٣",
+    "-", "--1", "0x1", "x", "/x", "\x00", "é",
+)
+#: Extra columns: numeric, non-numeric and comment look-alikes.
+EXTRA_TOKENS = ("0.5", "1483228800", "w=3", "#c", "%", "+1", "x")
+COMMENTS = ("#", "%", "//")
+SEPARATORS = (" ", "\t", "  ", " \t", "\x0b", "\x1c")
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+# Small ids so self loops and duplicates in both orientations are common.
+small_ids = st.integers(min_value=-3, max_value=12).map(str)
+#: Labels both readers must parse: ``-0``, leading zeros, the int32 ends.
+SAFE_LABELS = ("-0", "007", "2147483647", "-2147483648")
+separators = st.sampled_from(SEPARATORS)
+indents = st.sampled_from(("", "", " ", "\t"))
+other_lines = st.one_of(
+    st.builds(lambda indent, mark, rest: indent + mark + rest, indents,
+              st.sampled_from(COMMENTS),
+              st.sampled_from(("", " header", " 1 2", "x y"))),
+    st.builds(lambda indent, token: indent + token, indents,
+              st.sampled_from(("", "7", "x", "%", "/"))),
+)
+
+
+def edge_files(labels):
+    edge_lines = st.builds(
+        lambda indent, u, sep, v, extra: indent + u + sep + v + extra,
+        indents, labels, separators, labels,
+        st.one_of(st.just(""), st.builds(
+            lambda sep, token: sep + token, separators,
+            st.sampled_from(EXTRA_TOKENS),
+        )),
+    )
+    lines = st.builds(
+        lambda body, end: body + end,
+        st.one_of(edge_lines, edge_lines, edge_lines, other_lines),
+        st.sampled_from(LINE_ENDS),
+    )
+    return st.lists(lines, max_size=20).map("".join)
+
+
+# Half the files stick to labels both readers accept, so most of them
+# carry edges; the other half draw from the whole hostile alphabet.
+hostile_files = st.one_of(
+    edge_files(st.one_of(*[small_ids] * 8, st.sampled_from(SAFE_LABELS))),
+    edge_files(st.one_of(*[small_ids] * 8, st.sampled_from(HOSTILE_LABELS))),
+)
+plain_files = st.lists(
+    st.tuples(
+        st.integers(min_value=-(2**31), max_value=INT32_MAX),
+        st.integers(min_value=-(2**31), max_value=INT32_MAX),
+    ),
+    max_size=30,
+).map(lambda edges: "".join(f"{u} {v}\n" for u, v in edges))
+
+# Tiny slabs so small generated files still cross slab boundaries.
+TINY_SLABS = st.sampled_from((1, 3, 16, 1 << 18))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+def _write(workdir: Path, text: str) -> Path:
+    path = workdir / "edges.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def _outcome(thunk):
+    """A reader's result, or the type of the error it raised."""
+    try:
+        return thunk()
+    except (EdgeListError, UnicodeDecodeError, TypeError) as exc:
+        return type(exc)
+
+
+def _blocks(blocks):
+    out = []
+    try:
+        for us, vs in blocks:
+            out.append((str(us.dtype), us.tolist(), vs.tolist()))
+    except (EdgeListError, UnicodeDecodeError, TypeError) as exc:
+        out.append(type(exc))
+    return out
+
+
+def _small_slabs(slab: int):
+    return mock.patch.multiple(
+        io_module, _FILE_SLAB_BYTES=slab, _SLAB_BYTES_PER_EDGE=1,
+        _MIN_SLAB_BYTES=slab,
+    )
+
+
+# ----------------------------------------------------------------------
+# Reader + simplify vs the reference
+# ----------------------------------------------------------------------
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=hostile_files, slab=TINY_SLABS)
+def test_columnar_reader_equals_reference_or_declines(workdir, text, slab):
+    path = _write(workdir, text)
+    reference = _outcome(lambda: list(simplify_edges(iter_edge_list(path))))
+    with _small_slabs(slab):
+        columns = read_edge_columns(path)
+        graph = _outcome(lambda: sorted(read_edge_list(path).edges()))
+    if columns is not None:
+        us, vs = simplify_columns(*columns)
+        assert us.dtype == vs.dtype == np.int32
+        assert list(zip(us.tolist(), vs.tolist())) == reference
+    assert graph == _outcome(lambda: sorted(_reference_graph(path).edges()))
+
+
+def _reference_graph(path):
+    return AdjacencyGraph(iter_edge_list(path))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=plain_files, slab=TINY_SLABS)
+def test_plain_files_never_decline(workdir, text, slab):
+    path = _write(workdir, text)
+    with _small_slabs(slab):
+        columns = read_edge_columns(path)
+    assert columns is not None
+    assert list(zip(columns[0].tolist(), columns[1].tolist())) == list(
+        iter_edge_list(path)
+    )
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=hostile_files, slab=TINY_SLABS)
+def test_lazy_blocks_equal_reference_blocks(workdir, text, slab):
+    path = _write(workdir, text)
+    for size in (1, 7, 16384):
+        expected = _blocks(iter_chunks(iter_edge_list(path), size))
+        with _small_slabs(slab):
+            assert _blocks(iter_edge_chunks(path, size)) == expected
+
+
+def test_lazy_blocks_across_many_slabs(tmp_path):
+    """A multi-slab file with mixed line ends, then one whose last slab
+    declines: blocks and the raised error match the reference."""
+    rng = random.Random(3)
+    rows = []
+    for i in range(6000):
+        end = rng.choice(LINE_ENDS)
+        rows.append(f"{rng.randrange(900)}\t{rng.randrange(900)} 0.5{end}")
+        if i % 500 == 0:
+            rows.append(f"% note {i}\n")
+    path = tmp_path / "many.txt"
+    path.write_bytes("".join(rows).encode())
+    bad = tmp_path / "late.txt"
+    bad.write_bytes(("".join(rows) + "7 2147483648\n1 2\n").encode())
+    for size in (1, 7, 16384):
+        for target in (path, bad):
+            assert _blocks(iter_edge_chunks(target, size)) == _blocks(
+                iter_chunks(iter_edge_list(target), size)
+            )
+    assert read_edge_columns(bad) is None
+    assert sorted(read_edge_list(bad).edges()) == sorted(
+        _reference_graph(bad).edges()
+    )
+
+
+def test_every_digit_place_parses_exactly():
+    """A 9 in every decimal place, and ids at the int32 ends, parse to
+    their exact values whatever numpy's scalar promotion rules."""
+    labels = [int("9" * k) for k in range(1, 10)]
+    labels += [300, 5000, 1999999999, INT32_MAX]
+    text = "".join(f"{u} -{u}\n" for u in labels)
+    us, vs = parse_edge_columns(text.encode())
+    assert us.tolist() == labels
+    assert vs.tolist() == [-u for u in labels]
+    assert parse_edge_columns(b"900 5000000000\n") is None
+    assert parse_edge_columns(b"9999999999 1\n") is None
+
+
+def test_gzip_files_read_columnar(tmp_path):
+    import gzip
+
+    path = tmp_path / "g.txt.gz"
+    with gzip.open(path, "wt") as handle:
+        handle.write("# header\n0 1\n1 2\n2 0\n")
+    us, vs = read_edge_columns(path)
+    assert list(zip(us.tolist(), vs.tolist())) == [(0, 1), (1, 2), (2, 0)]
+
+
+def test_malformed_line_error_names_path_and_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# header\n0 1\n1 x\n")
+    with pytest.raises(EdgeListError, match=r"bad\.txt:3"):
+        list(iter_edge_list(path))
+    assert read_edge_columns(path) is None
+    assert isinstance(EdgeListError("x"), ValueError)
+
+
+# ----------------------------------------------------------------------
+# The index permutation
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 17, 64])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_index_shuffle_equals_tuple_shuffle(n, seed):
+    edges = [(i, (7 * i + 3) % 101) for i in range(n)]
+    expected = list(edges)
+    random.Random(seed).shuffle(expected)
+    assert list(EdgeStream(edges).permuted(seed)) == expected
+    columns = EdgeStream.from_columns(
+        np.array([u for u, _ in edges], dtype=np.int32),
+        np.array([v for _, v in edges], dtype=np.int32),
+    )
+    for as_columns in (True, False):
+        assert list(columns.permuted(seed, columns=as_columns)) == expected
+
+
+def test_unseeded_permutation_keeps_the_stream():
+    stream = EdgeStream([(0, 1), (1, 2)])
+    assert stream.permuted(None) is stream
+
+
+# ----------------------------------------------------------------------
+# run(spec): file source vs the same edges as tuples
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def edge_file(tmp_path_factory):
+    """A dirty integer file: a header, CRLF ends, a third column, self
+    loops and duplicates in both orientations."""
+    edges = sorted(powerlaw_cluster(140, 3, 0.5, seed=5).edges())
+    rows = ["% generated\r\n"]
+    for i, (u, v) in enumerate(edges):
+        rows.append(f"{u} {v} {i}\r\n")
+        if i % 9 == 0:
+            rows.append(f"{v}\t{u}\r\n")
+        if i % 13 == 0:
+            rows.append(f"{u} {u}\r\n")
+    path = tmp_path_factory.mktemp("ingest") / "dirty.txt"
+    path.write_bytes("".join(rows).encode())
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def tuples(edge_file):
+    return list(simplify_edges(iter_edge_list(edge_file)))
+
+
+def _same_report(a, b):
+    assert a.mode == b.mode
+    assert a.edges == b.edges
+    assert a.estimates == b.estimates
+    assert a.metrics == b.metrics
+    assert a.in_stream == b.in_stream
+    assert a.post_stream == b.post_stream
+    assert a.threshold == b.threshold
+    assert a.sample_size == b.sample_size
+    assert a.pipeline == b.pipeline
+    assert [
+        (p.position, p.exact_triangles, p.estimate, p.in_stream)
+        for p in a.tracking
+    ] == [
+        (p.position, p.exact_triangles, p.estimate, p.in_stream)
+        for p in b.tracking
+    ]
+
+
+def _configurations():
+    for method in method_specs():
+        weights = (None,) + (weight_names() if method.uses_weight else ())
+        for weight in weights:
+            yield pytest.param(method.name, weight,
+                               id=f"{method.name}-{weight or 'default'}")
+
+
+@pytest.mark.parametrize("method,weight", list(_configurations()))
+def test_file_source_matches_tuple_graph(edge_file, tuples, method, weight):
+    spec = RunSpec(source=edge_file, method=method, weight=weight,
+                   budget=60, stream_seed=4, sampler_seed=9)
+    _same_report(run(spec), run(spec, graph=tuples))
+    track = spec.replace(checkpoints=3)
+    _same_report(run(track), run(track, graph=tuples))
+
+
+@pytest.mark.parametrize("weight", ["uniform", "triangle"])
+@pytest.mark.parametrize("workers", [0, 2])
+def test_replications_match_tuple_graph(edge_file, tuples, weight, workers):
+    spec = RunSpec(source=edge_file, method="gps-post", weight=weight,
+                   budget=60, stream_seed=2, sampler_seed=3,
+                   replications=3, workers=workers)
+    _same_report(run(spec), run(spec, graph=tuples))
+
+
+@pytest.mark.parametrize("weight", ["uniform", "triangle"])
+@pytest.mark.parametrize("shards", [2, 4])
+def test_sharded_passes_match_tuple_graph(edge_file, tuples, weight, shards):
+    spec = RunSpec(source=edge_file, method="gps-post", weight=weight,
+                   budget=60, stream_seed=6, sampler_seed=2, shards=shards)
+    file_report = run(spec)
+    _same_report(file_report, run(spec, graph=tuples))
+    assert file_report.pipeline == (
+        "chunked" if weight == "uniform" else "scalar"
+    )
+    replicated = spec.replace(replications=2, workers=0)
+    _same_report(run(replicated), run(replicated, graph=tuples))
+
+
+def test_chunked_file_path_builds_no_tuples(edge_file, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tuples materialised on the chunked path")
+
+    monkeypatch.setattr(EdgeStream, "__init__", refuse)
+    monkeypatch.setattr(EdgeStream, "_pairs", refuse)
+    monkeypatch.setattr("repro.api.execution.iter_edge_list", refuse)
+    spec = RunSpec(source=edge_file, method="gps-post", weight="uniform",
+                   budget=60, stream_seed=1)
+    assert run(spec).pipeline == "chunked"
+    assert run(spec.replace(shards=2)).pipeline == "chunked"
+
+
+def test_scalar_tasks_share_one_tuple_view(edge_file, monkeypatch):
+    """Scalar replications over a column-backed file population build
+    its tuple view once, not once per task."""
+    builds = []
+    pairs = EdgeStream._pairs
+
+    def counting(self):
+        if self._edges is None:
+            builds.append(len(self))
+        return pairs(self)
+
+    monkeypatch.setattr(EdgeStream, "_pairs", counting)
+    spec = RunSpec(source=edge_file, method="gps-post", weight="triangle",
+                   budget=60, stream_seed=1, replications=3, workers=0)
+    assert run(spec).pipeline == "scalar"
+    assert len(builds) == 1
+
+
+def test_out_of_int32_file_stays_scalar(tmp_path):
+    path = tmp_path / "wide.txt"
+    path.write_text("0 1\n1 2\n2 0\n2 2147483648\n")
+    assert read_edge_columns(path) is None
+    spec = RunSpec(source=str(path), method="gps-post", weight="uniform",
+                   budget=10, stream_seed=0)
+    report = run(spec)
+    assert report.pipeline == "scalar"
+    _same_report(report, run(spec, graph=list(iter_edge_list(path))))
+
+
+def test_publish_straight_from_columns():
+    stream = EdgeStream.from_columns(
+        np.array([0, 5, -3], dtype=np.int32),
+        np.array([1, 6, 2**31 - 1], dtype=np.int32),
+    )
+    with SharedEdgePopulation.publish(stream) as shared:
+        us, vs = SharedEdgePopulation.attach_columns(shared.descriptor)
+        assert SharedEdgePopulation.attach(shared.descriptor) == list(stream)
+    assert us.dtype == np.int32 and us.tolist() == [0, 5, -3]
+    with pytest.raises(ValueError, match="int32"):
+        SharedEdgePopulation.publish([(0, 2**31)])
+
+
+# ----------------------------------------------------------------------
+# Satellite regressions
+# ----------------------------------------------------------------------
+COMMENTED = "% header\n0 1\n// note\n1 2\n"
+
+
+def test_followed_file_skips_every_comment_form(tmp_path):
+    path = tmp_path / "tail.txt"
+    path.write_text(COMMENTED)
+    assert list(iter_edge_list(path)) == [(0, 1), (1, 2)]
+    source = FileTailSource(str(path), chunk_size=4, follow=True,
+                            poll_interval=0.01)
+    collected = []
+
+    def consume():
+        for us, vs in source:
+            collected.extend(zip(us.tolist(), vs.tolist()))
+
+    thread = threading.Thread(target=consume, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 5.0
+    while len(collected) < 2 and thread.is_alive() and (
+            time.monotonic() < deadline):
+        time.sleep(0.01)
+    source.stop()
+    thread.join(5.0)
+    assert collected == [(0, 1), (1, 2)]
+
+
+def test_socket_source_skips_every_comment_form():
+    server = socket.create_server(("127.0.0.1", 0))
+    port = server.getsockname()[1]
+
+    def feed():
+        conn, _ = server.accept()
+        with conn:
+            conn.sendall(COMMENTED.encode())
+
+    threading.Thread(target=feed, daemon=True).start()
+    try:
+        collected = []
+        for us, vs in SocketLineSource(f"tcp://127.0.0.1:{port}",
+                                       chunk_size=4):
+            collected.extend(zip(us.tolist(), vs.tolist()))
+    finally:
+        server.close()
+    assert collected == [(0, 1), (1, 2)]
+
+
+def test_sharded_runner_checks_every_label():
+    with pytest.raises(ValueError, match="integer node labels"):
+        ShardedRunner([(0, 1), (1, 2), ("a", "b"), (2, 3)],
+                      shards=2, budget=4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats"],
+    ["sample", "-m", "10"],
+    ["replicate", "-m", "10", "-R", "2", "--workers", "0"],
+    ["sweep", "--method", "triest", "-m", "10", "--workers", "0",
+     "--no-cache"],
+])
+def test_cli_reports_malformed_lines_in_one_line(tmp_path, capsys, argv):
+    path = tmp_path / "bad.txt"
+    path.write_text("0 1\n1 x\n")
+    command, *flags = argv
+    args = [command, "--source", str(path), *flags] if command == "sweep" \
+        else [command, str(path), *flags]
+    assert main(args) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    assert f"{path}:2" in err and "Traceback" not in err

@@ -256,6 +256,15 @@ class TestService:
         assert service.latest().stream_position == 5000
         assert service.stats is not None and service.stats.edges == 5000
 
+    def test_finished_drive_releases_its_sampler(self):
+        spec = ServeSpec(source="synthetic", budget=50, max_edges=2000,
+                         chunk_size=256)
+        service = _drained(spec)
+        assert service._counter is None and service._engine is None
+        answer = service.query({"op": "estimates"})
+        assert answer["ok"] and answer["stream_position"] == 2000
+        assert service.query({"op": "motifs"})["ok"]
+
     def test_abort_discards_queued_blocks(self):
         # Unbounded synthetic stream: only an abort can end it.
         spec = ServeSpec(

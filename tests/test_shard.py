@@ -271,13 +271,14 @@ class TestShardedRunner:
 
     def test_topology_weight_never_builds_columns(self, edges, monkeypatch):
         """Columns are built only on the chunked branch, so a triangle-
-        weight pass (no vectorised gate) never pays the conversion."""
-        import repro.shard.runner as runner_module
+        weight pass (no vectorised gate) over a tuple population never
+        pays the conversion (EdgeStream.columnar is its only site)."""
+        import repro.streams.stream as stream_module
 
         def refuse(edges):
             raise AssertionError("columnar_or_none called")
 
-        monkeypatch.setattr(runner_module, "columnar_or_none", refuse)
+        monkeypatch.setattr(stream_module, "columnar_or_none", refuse)
         spec = RunSpec(source="inline", method="gps-post", budget=200,
                        weight="triangle", shards=2)
         assert run(spec, graph=edges).pipeline == "scalar"
