@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.datasets import get_statistics, make_graph
+from repro.api import RunSpec, run
+from repro.experiments.datasets import get_statistics
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_baseline
 from repro.stats.metrics import normalized_rmse
 
 DATASET = "higgs-social-network"
@@ -29,35 +29,30 @@ METHODS = ("gps-in-stream", "mascot", "triest")
 RUNS = 6
 
 
+def _spec(method: str, budget: int, i: int) -> RunSpec:
+    return RunSpec(source=DATASET, method=method, budget=budget,
+                   stream_seed=i, sampler_seed=700 + i)
+
+
 @pytest.fixture(scope="module")
 def sweep_results():
-    graph = make_graph(DATASET)
     exact = get_statistics(DATASET)
     table = {}
     for budget in BUDGETS:
         for method in METHODS:
-            estimates = []
-            for run in range(RUNS):
-                result = run_baseline(
-                    method,
-                    graph,
-                    exact,
-                    budget=budget,
-                    stream_seed=run,
-                    seed=700 + run,
-                )
-                estimates.append(result.estimate)
+            estimates = [
+                run(_spec(method, budget, i)).triangle_estimate
+                for i in range(RUNS)
+            ]
             table[(budget, method)] = normalized_rmse(estimates, exact.triangles)
     return table
 
 
 def test_fraction_sweep(benchmark, sweep_results, results_dir):
-    graph = make_graph(DATASET)
     exact = get_statistics(DATASET)
     benchmark.pedantic(
-        lambda: run_baseline(
-            "gps-in-stream", graph, exact, budget=2_000, stream_seed=0, seed=1
-        ),
+        lambda: run(RunSpec(source=DATASET, method="gps-in-stream",
+                            budget=2_000, stream_seed=0, sampler_seed=1)),
         rounds=1,
         iterations=1,
     )

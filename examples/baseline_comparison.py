@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
-from repro.experiments.runner import run_baseline
+from repro.api import RunSpec, run
 from repro.graph.exact import compute_statistics
 from repro.graph.generators import chung_lu
 from repro.stats.metrics import absolute_relative_error
@@ -53,17 +53,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for method in METHODS:
         estimates = RunningMoments()
         times = RunningMoments()
-        for run in range(args.runs):
-            result = run_baseline(
-                method,
-                graph,
-                exact,
+        for i in range(args.runs):
+            spec = RunSpec(
+                source="chung-lu",  # provenance only: the graph is passed
+                method=method,
                 budget=args.budget,
-                stream_seed=args.seed + run,
-                seed=args.seed + 100 + run,
+                stream_seed=args.seed + i,
+                sampler_seed=args.seed + 100 + i,
             )
-            estimates.add(result.estimate)
-            times.add(result.update_time_us)
+            report = run(spec, graph=graph)
+            estimates.add(report.triangle_estimate)
+            times.add(report.update_time_us)
         are = absolute_relative_error(estimates.mean, exact.triangles)
         rel_sigma = estimates.std / exact.triangles
         print(

@@ -180,11 +180,13 @@ class RunReport:
     threshold: Optional[float] = None
     in_stream: Optional[GraphEstimates] = None
     post_stream: Optional[GraphEstimates] = None
-    #: The pipeline that actually drove the pass: ``"chunked"`` only
-    #: when the counter, weight and stream all supported the columnar
-    #: gate; a spec asking for chunked may legitimately report
-    #: ``"scalar"`` (label-reading weight, non-int labels, estimator
-    #: counters …).  Results are bit-identical either way.
+    #: The drive that ran the pass, as :func:`chunk_size_for` chose it:
+    #: ``"chunked"`` when the counter, weight and stream all support
+    #: the columnar gate, else ``"scalar"`` — a label-reading method or
+    #: weight, labels that are not int32 ints, a counter without a
+    #: vectorised gate (the in-stream estimator, topology-reading
+    #: weights) or a lazy unpermuted file pass.  Results are
+    #: bit-identical either way.
     pipeline: str = "scalar"
     #: Fault-tolerance cost of pooled dispatch: tasks resubmitted after
     #: worker failure / executors rebuilt after BrokenProcessPool (both
@@ -336,7 +338,7 @@ def _resolve_edges(source: str, graph: Optional[Any]) -> EdgeStream:
         if isinstance(graph, AdjacencyGraph):
             return EdgeStream(EdgeStream.canonical_edges(graph))
         return EdgeStream(graph)
-    # Lazy import: repro.experiments.runner imports this module.
+    # Lazy import: only registry names need the dataset module.
     from repro.experiments.datasets import DATASETS, make_graph
 
     if source in DATASETS:
@@ -385,35 +387,44 @@ def _checked(
     return method, resolved
 
 
-def _chunk_size_for(
-    spec: RunSpec,
+def chunk_size_for(
     method: MethodSpec,
     weight_fn: Optional[WeightFunction],
     counter: Any,
-    stream: EdgeStream,
+    population: EdgeStream,
 ) -> Optional[int]:
-    """The engine chunk size for this pass, or ``None`` for scalar.
+    """The engine chunk size for a pass, or ``None`` to drive it scalar.
 
-    The chunked pipeline engages only when every layer consents: the
-    spec asked for it, neither the method nor the weight reads node
+    The one chunked-or-scalar decision, shared by :func:`run` and the
+    sharded runner.  A pass drives columnar blocks only when every
+    layer allows it: neither the method nor the weight reads node
     labels (a label-reading configuration must see the stream's
-    original tuples), the counter's admission gate is actually
-    vectorised (``chunk_vectorized``; false for e.g. the in-stream
-    estimator, whose per-arrival snapshot leaves nothing to gate), and
-    the population columnarises — its labels already are int32 ints, so
-    no relabelling ever happens on this path and samples, checkpoints
-    and reports stay label-faithful.  Every fallback is bit-identical,
-    just scalar-speed.
+    original tuples), the counter's admission gate is vectorised
+    (``chunk_vectorized``; false for e.g. the in-stream estimator,
+    whose per-arrival snapshot leaves nothing to gate), and the
+    population converts to int32 columns under its own labels, so
+    samples, checkpoints and reports stay label-faithful.  The scalar
+    drive gives bit-identical results, just slower; tests force it by
+    patching this function.
+
+    Example
+    -------
+    >>> from repro.core.weights import UniformWeight
+    >>> method, weight = get_method("gps-post"), UniformWeight()
+    >>> counter = method.make(10, 0, 1, weight_fn=weight)
+    >>> chunk_size_for(method, weight, counter, EdgeStream([(0, 1)]))
+    16384
+    >>> chunk_size_for(method, weight, counter, EdgeStream([("a", "b")]))
+    >>> chunk_size_for(method, None, method.make(10, 0, 1),
+    ...                EdgeStream([(0, 1)]))  # triangle: no vectorised gate
     """
-    if spec.pipeline != "chunked":
-        return None
     if method.reads_labels:
         return None
     if weight_fn is not None and not is_label_free(weight_fn):
         return None
     if not getattr(counter, "chunk_vectorized", False):
         return None
-    if stream.columnar() is None:
+    if population.columnar() is None:
         return None
     return DEFAULT_CHUNK_SIZE
 
@@ -510,9 +521,7 @@ def run(
         spec.budget, len(population), spec.sampler_seed,
         weight_fn=resolved_weight, core=spec.core,
     )
-    chunk_size = _chunk_size_for(
-        spec, method, resolved_weight, counter, population
-    )
+    chunk_size = chunk_size_for(method, resolved_weight, counter, population)
     # A chunked pass permutes the int32 columns and never builds a tuple.
     stream = population.permuted(
         spec.stream_seed, columns=chunk_size is not None
@@ -589,7 +598,6 @@ def _run_sharded(
         stream_seed=spec.stream_seed,
         sampler_seed=spec.sampler_seed,
         core=spec.core,
-        pipeline=spec.pipeline,
     ).run()
     bundle = result.estimates
     elapsed = result.elapsed_seconds
@@ -958,6 +966,7 @@ __all__ = [
     "MetricSummary",
     "RunReport",
     "TrackPoint",
+    "chunk_size_for",
     "execute",
     "replicate",
     "resolve_workers",

@@ -422,10 +422,6 @@ class GpsPostStreamAdapter:
 
         return self.sampler.process_many(pairs_from_columns(us, vs))
 
-    def reset(self, seed=None) -> None:
-        """Reuse hook; raises when the wrapped core has no reset."""
-        self.sampler.reset(seed)
-
     @property
     def triangle_estimate(self) -> float:
         return PostStreamEstimator(self.sampler).estimate().triangles.value
@@ -611,8 +607,8 @@ def baseline_method_names() -> Tuple[str, ...]:
     """Registry-derived method set the comparison harnesses iterate.
 
     Every registered method except the shared-sample ``gps`` meta-entry
-    (which reports both estimation flavours at once and is exercised via
-    ``run_gps``/its own sweep cells).
+    (which reports both estimation flavours at once and is exercised by
+    Table 1 and its own sweep cells).
 
     Example
     -------

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Optional
 
 from repro.core.compact import CORES, DEFAULT_CORE
-from repro.engine.stream_engine import DEFAULT_PIPELINE, PIPELINES
 
 
 @dataclass(frozen=True)
@@ -62,14 +61,6 @@ class RunSpec:
         ``"object"`` (the boxed reference core).  The two produce
         bit-identical results under shared seeds; methods that predate
         the flag ignore it.
-    pipeline:
-        Stream-driving pipeline: ``"chunked"`` (default) feeds columnar
-        ``int32`` blocks through the compact core's vectorised
-        admission gate whenever the counter, weight and stream allow it
-        (uniform-family weights over int-labelled streams; label-reading
-        weights and methods auto-fall-back), ``"scalar"`` always keeps
-        the tuple-at-a-time loops.  Bit-identical results either way;
-        the executed pipeline is recorded on the report.
     shards:
         Number of independent samplers the stream is partitioned across
         by the seeded edge-hash router (:mod:`repro.shard`).  ``1``
@@ -91,7 +82,6 @@ class RunSpec:
     replications: int = 1
     workers: Optional[int] = None
     core: str = DEFAULT_CORE
-    pipeline: str = DEFAULT_PIPELINE
     shards: int = 1
 
     def __post_init__(self) -> None:
@@ -100,10 +90,6 @@ class RunSpec:
         if self.core not in CORES:
             raise ValueError(
                 f"core must be one of {CORES}, got {self.core!r}"
-            )
-        if self.pipeline not in PIPELINES:
-            raise ValueError(
-                f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}"
             )
         if self.budget <= 0:
             raise ValueError("budget must be positive")

@@ -62,7 +62,6 @@ from repro.api.ground_truth import (
 from repro.api.spec import RunSpec
 from repro.core.compact import CORES, DEFAULT_CORE
 from repro.engine.resilient import DEFAULT_RETRY_BUDGET
-from repro.engine.stream_engine import DEFAULT_PIPELINE, PIPELINES
 from repro.faults.corruption import corrupt_entry
 from repro.faults.injector import FaultInjector, coerce_injector
 from repro.graph.exact import GraphStatistics
@@ -134,10 +133,6 @@ class SweepSpec:
         GPS reservoir core threaded into every cell's :class:`RunSpec`
         (``"compact"`` default / ``"object"`` reference); bit-identical
         results, so purely a performance switch.
-    pipeline:
-        Stream pipeline threaded into every cell (``"chunked"`` default
-        / ``"scalar"``); cells whose method/weight cannot use the
-        columnar gate fall back per cell, bit-identically.
     overrides:
         Per-source axis overrides, ``{source: {axis: value}}`` with axes
         from ``budgets``/``methods``/``weights``/``runs`` — e.g. give one
@@ -166,7 +161,6 @@ class SweepSpec:
     budget_policy: str = "keep"
     workers: Optional[int] = None
     core: str = DEFAULT_CORE
-    pipeline: str = DEFAULT_PIPELINE
     overrides: Any = ()
 
     def __post_init__(self) -> None:
@@ -201,10 +195,6 @@ class SweepSpec:
         if self.core not in CORES:
             raise ValueError(
                 f"core must be one of {CORES}, got {self.core!r}"
-            )
-        if self.pipeline not in PIPELINES:
-            raise ValueError(
-                f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}"
             )
         known = set(self.sources)
         for source, axes in self.overrides:
@@ -398,7 +388,6 @@ def _make_cell(key: CellKey, runs: int, sweep: SweepSpec) -> SweepCell:
                 sampler_seed=sweep.base_sampler_seed + i,
                 checkpoints=sweep.checkpoints,
                 core=sweep.core,
-                pipeline=sweep.pipeline,
                 shards=key.shards,
             )
             for i in range(runs)

@@ -81,7 +81,6 @@ from repro.api.registry import (
 from repro.api.spec import RunSpec
 from repro.api.sweep import BUDGET_POLICIES, SweepSpec, run_sweep
 from repro.core.compact import CORES, DEFAULT_CORE
-from repro.engine.stream_engine import DEFAULT_PIPELINE, PIPELINES
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.estimates import GraphEstimates
 from repro.core.in_stream import InStreamEstimator
@@ -142,19 +141,6 @@ def _add_core_option(
     )
 
 
-def _add_pipeline_option(
-    parser: argparse.ArgumentParser,
-    default: Optional[str] = DEFAULT_PIPELINE,
-) -> None:
-    parser.add_argument(
-        "--pipeline", choices=PIPELINES, default=default,
-        help="stream pipeline: 'chunked' columnar blocks through the "
-             "vectorised admission gate where supported (default) or "
-             "'scalar' tuple loops — bit-identical results; "
-             "label-reading weights fall back to scalar automatically",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -177,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: keep file order)")
     sample.add_argument("-o", "--output", help="write a resumable checkpoint here")
     _add_core_option(sample)
-    _add_pipeline_option(sample)
     sample.add_argument("--json", action="store_true",
                         help="emit the RunReport as JSON")
 
@@ -207,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="permute the stream with this seed "
                             "(default: keep file order)")
     _add_core_option(track)
-    _add_pipeline_option(track)
     track.add_argument("--json", action="store_true",
                        help="emit the RunReport as JSON")
 
@@ -231,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     replicate.add_argument("--stream-seed", type=int, default=0)
     replicate.add_argument("--sampler-seed", type=int, default=10_000)
     _add_core_option(replicate)
-    _add_pipeline_option(replicate)
     replicate.add_argument("--json", action="store_true",
                            help="emit the RunReport as JSON")
 
@@ -272,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=None,
                        help="shared process-pool size (0 runs inline)")
     _add_core_option(sweep, default=None)
-    _add_pipeline_option(sweep, default=None)
     sweep.add_argument("--cache", metavar="DIR", default=".repro-cache",
                        help="ground-truth/cell cache directory "
                             "(default: .repro-cache)")
@@ -465,7 +447,6 @@ def _cmd_sample(args) -> int:
         stream_seed=args.stream_seed,
         sampler_seed=args.seed,
         core=args.core,
-        pipeline=args.pipeline,
     )
     report = run(spec)
     if args.json:
@@ -514,7 +495,6 @@ def _cmd_track(args) -> int:
         sampler_seed=args.seed,
         checkpoints=args.checkpoints,
         core=args.core,
-        pipeline=args.pipeline,
     )
     report = run(spec)
     if args.json:
@@ -541,7 +521,6 @@ def _cmd_replicate(args) -> int:
         replications=args.replications,
         workers=args.workers,
         core=args.core,
-        pipeline=args.pipeline,
         shards=args.shards,
     )
     report = run_replicated(spec)
@@ -609,7 +588,6 @@ def _cmd_sweep(args) -> int:
                 ("--budget-policy", args.budget_policy),
                 ("--workers", args.workers),
                 ("--core", args.core),
-                ("--pipeline", args.pipeline),
             )
             if value is not None
         ]
@@ -640,8 +618,6 @@ def _cmd_sweep(args) -> int:
             budget_policy=args.budget_policy or "keep",
             workers=args.workers,
             core=args.core if args.core is not None else DEFAULT_CORE,
-            pipeline=args.pipeline
-            if args.pipeline is not None else DEFAULT_PIPELINE,
         )
     if args.save_spec:
         Path(args.save_spec).write_text(spec.to_json(indent=2) + "\n")

@@ -42,10 +42,7 @@ import random
 from heapq import heappush, heapreplace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-try:  # pragma: no cover - numpy is a declared dependency, but the
-    import numpy as _np  # scalar loops stay fully functional without it
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from repro.core.estimates import GraphEstimates
 from repro.core.records import EdgeRecord
@@ -235,10 +232,9 @@ class SlotArrays:
     Only the first :attr:`size` entries of each column are live (slots
     are allocated densely: admissions fill ``0..size-1`` and evictions
     overwrite in place, so the live slots are exactly that prefix).
-    Columns are numpy arrays of length :attr:`capacity` when numpy is
-    available (so instances can be recycled as double buffers via the
-    ``out=`` parameter of :meth:`CompactGraphPrioritySampler.
-    snapshot_arrays`) and plain list copies otherwise.  Instances are
+    Columns are numpy arrays of length :attr:`capacity`, so instances
+    can be recycled as double buffers via the ``out=`` parameter of
+    :meth:`CompactGraphPrioritySampler.snapshot_arrays`.  Instances are
     value containers, not views: mutating the sampler afterwards never
     changes a snapshot, and vice versa.
     """
@@ -263,18 +259,11 @@ class SlotArrays:
         self.size = 0
         self.u: List[Node] = []
         self.v: List[Node] = []
-        if _np is not None:
-            self.weight = _np.empty(capacity, dtype=_np.float64)
-            self.priority = _np.empty(capacity, dtype=_np.float64)
-            self.arrival = _np.empty(capacity, dtype=_np.int64)
-            self.cov_triangle = _np.empty(capacity, dtype=_np.float64)
-            self.cov_wedge = _np.empty(capacity, dtype=_np.float64)
-        else:  # pragma: no cover - numpy is a declared dependency
-            self.weight = []
-            self.priority = []
-            self.arrival = []
-            self.cov_triangle = []
-            self.cov_wedge = []
+        self.weight = _np.empty(capacity, dtype=_np.float64)
+        self.priority = _np.empty(capacity, dtype=_np.float64)
+        self.arrival = _np.empty(capacity, dtype=_np.int64)
+        self.cov_triangle = _np.empty(capacity, dtype=_np.float64)
+        self.cov_wedge = _np.empty(capacity, dtype=_np.float64)
         self.heap_root: Optional[Tuple[float, int]] = None
         self.threshold = 0.0
         self.stream_position = 0
@@ -387,30 +376,6 @@ class CompactGraphPrioritySampler:
         # Lazily-built numpy MT19937 twin of self._rng for bulk draws.
         self._mt = None
         self._mt_rs = None
-
-    def reset(self, seed: Optional[int] = None) -> None:
-        """Restore freshly-constructed state (same capacity and weight).
-
-        Bit-identical to building a new sampler with the same
-        ``(capacity, weight_fn, seed)``: the RNG is reseeded, the heap,
-        adjacency and counters are cleared, and the slot arrays are
-        reused in place, so many passes of one configuration allocate
-        them once.
-
-        >>> sampler = CompactGraphPrioritySampler(capacity=4, seed=1)
-        >>> sampler.process_many([(0, 1), (1, 2)])
-        2
-        >>> sampler.reset(seed=1); sampler.sample_size, sampler.stream_position
-        (0, 0)
-        """
-        self._rng.seed(seed)
-        self._adj.clear()
-        del self._heap._heap[:]
-        self._threshold = 0.0
-        self._arrivals = 0
-        self._duplicates = 0
-        self._self_loops = 0
-        self._codes_stale = True
 
     # ------------------------------------------------------------------
     # Stream processing (procedure GPSUpdate, slot edition)
@@ -801,16 +766,16 @@ class CompactGraphPrioritySampler:
     def chunk_vectorized(self) -> bool:
         """Whether :meth:`process_chunk` has a vectorised gate here.
 
-        True exactly for the uniform weight family with numpy present:
-        uniform ranks are a pure function of the RNG draw, so a whole
-        block screens against the heap root in a few array operations.
+        True exactly for the uniform weight family: uniform ranks are a
+        pure function of the RNG draw, so a whole block screens against
+        the heap root in a few array operations.
         The topology-reading families (triangle/wedge/generic) must
         inspect the evolving sample per arrival — both for admits and
         for the exact bounced priorities that feed ``z*`` — so their
         scalar family-specialised loops already are the fast path and
         :meth:`process_chunk` simply adapts the columnar block.
         """
-        return _np is not None and self._wkind == _W_UNIFORM
+        return self._wkind == _W_UNIFORM
 
     def process_chunk(self, us, vs) -> int:
         """Feed one columnar block ``(u column, v column)`` of arrivals.
@@ -844,7 +809,7 @@ class CompactGraphPrioritySampler:
             raise ValueError("u and v columns must have equal length")
         if n == 0:
             return 0
-        if _np is None or self._wkind != _W_UNIFORM:
+        if self._wkind != _W_UNIFORM:
             return self._process_chunk_scalar(us, vs)
         return self._process_chunk_uniform(
             _np.asarray(us), _np.asarray(vs), n
@@ -1154,24 +1119,13 @@ class CompactGraphPrioritySampler:
         """
         size = len(self._heap)
         heap_arr = self._heap._heap
-        if (
-            out is None
-            or out.capacity != self._capacity
-            or (_np is not None and not isinstance(out.weight, _np.ndarray))
-        ):
+        if out is None or out.capacity != self._capacity:
             out = SlotArrays(self._capacity)
-        if _np is not None:
-            out.weight[:size] = self._weight[:size]
-            out.priority[:size] = self._priority[:size]
-            out.arrival[:size] = self._arrival[:size]
-            out.cov_triangle[:size] = self._cov_tri[:size]
-            out.cov_wedge[:size] = self._cov_wedge[:size]
-        else:  # pragma: no cover - numpy is a declared dependency
-            out.weight = self._weight[:size]
-            out.priority = self._priority[:size]
-            out.arrival = self._arrival[:size]
-            out.cov_triangle = self._cov_tri[:size]
-            out.cov_wedge = self._cov_wedge[:size]
+        out.weight[:size] = self._weight[:size]
+        out.priority[:size] = self._priority[:size]
+        out.arrival[:size] = self._arrival[:size]
+        out.cov_triangle[:size] = self._cov_tri[:size]
+        out.cov_wedge[:size] = self._cov_wedge[:size]
         out.u = self._su[:size]
         out.v = self._sv[:size]
         out.size = size
@@ -1559,15 +1513,6 @@ class CompactInStreamEstimator:
         from repro.streams.chunks import pairs_from_columns
 
         return self.process_many(pairs_from_columns(us, vs))
-
-    def reset(self, seed: Optional[int] = None) -> None:
-        """Restore freshly-constructed state (see the sampler's reset)."""
-        self._sampler.reset(seed)
-        self._triangles = 0.0
-        self._triangle_var = 0.0
-        self._wedges = 0.0
-        self._wedge_var = 0.0
-        self._cross_cov = 0.0
 
     def track(
         self,

@@ -20,21 +20,12 @@ from repro.engine.shared_edges import (
     SharedEdgePopulation,
     shared_memory_available,
 )
-from repro.engine.stream_engine import (
-    DEFAULT_PIPELINE,
-    PIPELINES,
-    EngineStats,
-    StreamEngine,
-    validate_pipeline,
-)
+from repro.engine.stream_engine import EngineStats, StreamEngine
 
 __all__ = [
-    "DEFAULT_PIPELINE",
     "DEFAULT_REBUILD_BUDGET",
     "DEFAULT_RETRY_BUDGET",
-    "PIPELINES",
     "EngineStats",
-    "validate_pipeline",
     "RetryStats",
     "SharedEdgePopulation",
     "StreamEngine",

@@ -39,25 +39,6 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from repro.graph.edge import Node
 
-#: Selectable stream pipelines (the default comes first): ``"chunked"``
-#: drives columnar blocks through ``process_chunk`` where the counter
-#: supports it, ``"scalar"`` keeps the tuple-at-a-time paths.  The two
-#: are bit-identical under shared seeds — the pipeline is purely a
-#: performance switch, mirroring the ``core`` flag of
-#: :mod:`repro.core.compact`.
-PIPELINES = ("chunked", "scalar")
-DEFAULT_PIPELINE = "chunked"
-
-
-def validate_pipeline(pipeline: str) -> str:
-    """Check a pipeline name; unknown names raise with the known set."""
-    if pipeline not in PIPELINES:
-        raise ValueError(
-            f"unknown pipeline {pipeline!r}; known pipelines: {PIPELINES}"
-        )
-    return pipeline
-
-
 #: Edges per materialised batch after the last checkpoint (bounds the
 #: memory of the batched-companions drive over unbounded streams).
 _TAIL_BATCH = 65536
@@ -366,11 +347,8 @@ class StreamEngine:
 
 
 __all__ = [
-    "DEFAULT_PIPELINE",
-    "PIPELINES",
     "StreamEngine",
     "EngineStats",
     "CheckpointCallback",
     "ChunkObserver",
-    "validate_pipeline",
 ]

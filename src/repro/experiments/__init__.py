@@ -3,8 +3,6 @@
 * :mod:`repro.experiments.datasets` — registry of synthetic stand-ins for
   the paper's network-repository graphs, with the paper-reported statistics
   attached for side-by-side comparison.
-* :mod:`repro.experiments.runner` — single-configuration orchestration
-  (shared-seed GPS runs, baseline drivers, time-series tracking).
 * :mod:`repro.experiments.table1` … :mod:`repro.experiments.figure3` —
   one builder per paper artefact; each has a CLI
   (``python -m repro.experiments.table1``) and a
@@ -19,22 +17,10 @@ from repro.experiments.datasets import (
     get_statistics,
     make_graph,
 )
-from repro.experiments.runner import (
-    BaselineRunResult,
-    GpsRunResult,
-    run_baseline,
-    run_gps,
-    track_gps,
-)
 
 __all__ = [
     "DATASETS",
     "DatasetSpec",
     "get_statistics",
     "make_graph",
-    "BaselineRunResult",
-    "GpsRunResult",
-    "run_baseline",
-    "run_gps",
-    "track_gps",
 ]

@@ -14,12 +14,33 @@ import argparse
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.experiments.datasets import FIGURE3_DATASETS, make_graph
+from repro.api.execution import TrackPoint, run
+from repro.api.spec import RunSpec
+from repro.core.estimates import GraphEstimates
+from repro.experiments.datasets import FIGURE3_DATASETS
 from repro.experiments.reporting import format_table, human_count
-from repro.experiments.runner import TrackedSeries, track_gps
 
 DEFAULT_CAPACITY = 4000
 DEFAULT_CHECKPOINTS = 20
+
+
+@dataclass(frozen=True)
+class TrackedSeries:
+    """Aligned per-checkpoint series of one GPS tracking run."""
+
+    checkpoints: List[int]
+    exact_triangles: List[int]
+    exact_clustering: List[float]
+    in_stream: List[GraphEstimates]
+
+    @classmethod
+    def from_tracking(cls, points: Sequence[TrackPoint]) -> "TrackedSeries":
+        return cls(
+            checkpoints=[p.position for p in points],
+            exact_triangles=[p.exact_triangles for p in points],
+            exact_clustering=[p.exact_clustering for p in points],
+            in_stream=[p.in_stream for p in points],
+        )
 
 
 @dataclass(frozen=True)
@@ -70,15 +91,17 @@ def build_figure3(
 ) -> List[Figure3Series]:
     out: List[Figure3Series] = []
     for dataset in datasets:
-        graph = make_graph(dataset)
-        tracked = track_gps(
-            graph,
-            capacity=capacity,
-            num_checkpoints=num_checkpoints,
-            stream_seed=stream_seed,
-            sampler_seed=sampler_seed,
-            include_post=False,
+        report = run(
+            RunSpec(
+                source=dataset,
+                method="gps",
+                budget=capacity,
+                stream_seed=stream_seed,
+                sampler_seed=sampler_seed,
+                checkpoints=num_checkpoints,
+            )
         )
+        tracked = TrackedSeries.from_tracking(report.tracking)
         out.append(Figure3Series(dataset=dataset, capacity=capacity, series=tracked))
     return out
 

@@ -17,15 +17,12 @@ import argparse
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.estimates import GraphEstimates, SubgraphEstimate
-from repro.experiments.datasets import (
-    DATASETS,
-    TABLE1_DATASETS,
-    get_statistics,
-    make_graph,
-)
+from repro.api.execution import RunReport, run
+from repro.api.spec import RunSpec
+from repro.core.estimates import SubgraphEstimate
+from repro.experiments.datasets import DATASETS, TABLE1_DATASETS, get_statistics
 from repro.experiments.reporting import format_table, human_count
-from repro.experiments.runner import GpsRunResult, run_gps
+from repro.graph.exact import GraphStatistics
 
 DEFAULT_CAPACITY = 8000
 
@@ -53,8 +50,10 @@ class Table1Row:
         return self.post_stream.relative_error(self.actual)
 
 
-def rows_from_runs(results: Sequence[GpsRunResult], dataset: str) -> List[Table1Row]:
-    """Collapse repeated GPS runs into the three statistic rows.
+def rows_from_runs(
+    results: Sequence[RunReport], exact: GraphStatistics, dataset: str
+) -> List[Table1Row]:
+    """Collapse repeated shared-sample ``gps`` runs into the three rows.
 
     Estimates and variance estimates are averaged over runs, matching the
     paper's ARE metric ``|E[X̂] − X| / X`` (Sec. 6, step 3); confidence
@@ -63,7 +62,6 @@ def rows_from_runs(results: Sequence[GpsRunResult], dataset: str) -> List[Table1
     if not results:
         raise ValueError("need at least one run")
     spec = DATASETS[dataset]
-    exact = results[0].exact
     actuals = {
         "triangles": float(exact.triangles),
         "wedges": float(exact.wedges),
@@ -95,7 +93,9 @@ def rows_from_runs(results: Sequence[GpsRunResult], dataset: str) -> List[Table1
                 dataset=dataset,
                 statistic=statistic,
                 edges=exact.num_edges,
-                fraction=results[0].sample_fraction,
+                fraction=(
+                    results[0].in_stream.sample_size / max(1, exact.num_edges)
+                ),
                 actual=actuals[statistic],
                 in_stream=mean_estimate(statistic, "in_stream"),
                 post_stream=mean_estimate(statistic, "post_stream"),
@@ -116,20 +116,21 @@ def build_table1(
     """Run the Table 1 experiment over ``datasets`` at one capacity."""
     rows: List[Table1Row] = []
     for dataset in datasets:
-        graph = make_graph(dataset)
         exact = get_statistics(dataset)
+        # Method "gps" estimates in-stream and post-stream on one sample.
         results = [
-            run_gps(
-                graph,
-                exact,
-                capacity=min(capacity, exact.num_edges),
-                stream_seed=stream_seed + run,
-                sampler_seed=sampler_seed + run,
-                dataset=dataset,
+            run(
+                RunSpec(
+                    source=dataset,
+                    method="gps",
+                    budget=min(capacity, exact.num_edges),
+                    stream_seed=stream_seed + i,
+                    sampler_seed=sampler_seed + i,
+                )
             )
-            for run in range(runs)
+            for i in range(runs)
         ]
-        rows.extend(rows_from_runs(results, dataset))
+        rows.extend(rows_from_runs(results, exact, dataset))
     return rows
 
 

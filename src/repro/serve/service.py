@@ -413,6 +413,9 @@ class SamplingService:
                     self._source, "reconnects", 0
                 ),
                 "source_rotations": getattr(self._source, "rotations", 0),
+                "source_skipped_lines": getattr(
+                    self._source, "skipped_lines", 0
+                ),
             },
             "errors": list(self._errors),
         }

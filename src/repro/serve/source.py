@@ -29,10 +29,13 @@ by :func:`make_source`:
   source skips the edges it already delivered, so the downstream
   sampler never sees a duplicate or a gap.
 
-The text sources (a followed file, a socket) read each line by
+The text sources (a followed file, a socket) turn lines into blocks
+with one parser, :func:`parse_edge_lines`.  It reads each line by
 :func:`repro.graph.io.edge_tokens`, the line rule of the batch file
 reader: ``#``/``%``/``//`` comments, blank and one-token lines are
-skipped.
+skipped.  A malformed line (a non-integer id, or one outside int32) is
+skipped too and counted in the source's ``skipped_lines``, so one bad
+line of a live feed never stops the pump.
 
 Every source accepts an optional :class:`~repro.faults.FaultInjector`
 and consults it per raw block, which is how the chaos suite provokes
@@ -45,7 +48,8 @@ import os
 import random
 import threading
 import time
-from typing import IO, Any, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import IO, Any, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +64,41 @@ Block = Tuple[np.ndarray, np.ndarray]
 
 #: Injection site label shared by every serve-layer source.
 SOURCE_SITE = "serve-source"
+
+_INT32 = np.iinfo(np.int32)
+
+
+def parse_edge_lines(lines: Iterable[str]) -> Tuple[Block, int]:
+    """The edges of ``lines`` as one int32 block, plus the bad-line count.
+
+    Lines follow :func:`repro.graph.io.edge_tokens`; comments, blank
+    and one-token lines are not edges and are not counted.  A line
+    whose first two tokens are not integers, or do not fit int32, is
+    skipped and counted instead of raising.
+
+    >>> (us, vs), bad = parse_edge_lines(["0 1", "# note", "x y", "1 2"])
+    >>> us.tolist(), vs.tolist(), bad
+    ([0, 1], [1, 2], 1)
+    """
+    us: List[int] = []
+    vs: List[int] = []
+    bad = 0
+    for line in lines:
+        tokens = edge_tokens(line)
+        if tokens is None:
+            continue
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            bad += 1
+            continue
+        if not (_INT32.min <= min(u, v) and max(u, v) <= _INT32.max):
+            bad += 1
+            continue
+        us.append(u)
+        vs.append(v)
+    block = (np.asarray(us, dtype=np.int32), np.asarray(vs, dtype=np.int32))
+    return block, bad
 
 
 def _limit_blocks(
@@ -195,7 +234,8 @@ class FileTailSource:
       re-reads from offset zero, which is exactly the writer's restart.
 
     Either reopen increments :attr:`rotations` and clears the carried
-    partial line — a torn tail of the old file is not data.
+    partial line — a torn tail of the old file is not data.  Malformed
+    lines are skipped and counted in :attr:`skipped_lines`.
     """
 
     columnar = True
@@ -219,26 +259,17 @@ class FileTailSource:
         self._faults = faults
         #: Times the followed file was reopened after rotation/truncation.
         self.rotations = 0
+        #: Malformed lines skipped (see :func:`parse_edge_lines`).
+        self.skipped_lines = 0
 
     def stop(self) -> None:
         """End a ``follow`` pass at the next poll."""
         self._stop.set()
 
     def _parse(self, lines: List[str]) -> Optional[Block]:
-        us: List[int] = []
-        vs: List[int] = []
-        for line in lines:
-            tokens = edge_tokens(line)
-            if tokens is None:
-                continue
-            us.append(int(tokens[0]))
-            vs.append(int(tokens[1]))
-        if not us:
-            return None
-        return (
-            np.asarray(us, dtype=np.int32),
-            np.asarray(vs, dtype=np.int32),
-        )
+        block, bad = parse_edge_lines(lines)
+        self.skipped_lines += bad
+        return block if len(block[0]) else None
 
     def _reopen_if_rotated(self, handle: IO[str]) -> Tuple[IO[str], bool]:
         """Detect rotation/truncation of the followed path.
@@ -321,6 +352,9 @@ class SocketLineSource:
     feeder closed after finishing) is a natural end, never retried.
     Delivered progress resets the consecutive-failure counter, so the
     budget bounds each failure *burst* rather than the stream lifetime.
+    Malformed lines are skipped and counted in :attr:`skipped_lines`
+    apart from the delivered edges, so they never shift the replay
+    skip, and a replayed bad line is not counted twice.
     """
 
     columnar = True
@@ -360,6 +394,8 @@ class SocketLineSource:
         self._stop = threading.Event()
         #: Successful reconnections after a dropped connection.
         self.reconnects = 0
+        #: Malformed lines skipped (see :func:`parse_edge_lines`).
+        self.skipped_lines = 0
         #: ``"idle" | "streaming" | "retrying" | "closed" | "failed"``.
         self.state = "idle"
 
@@ -372,31 +408,23 @@ class SocketLineSource:
         delivered leading edges (replay-from-start feed semantics)."""
         import socket
 
-        us: List[int] = []
-        vs: List[int] = []
         remaining = skip_edges
+        bad_seen = 0
         with socket.create_connection((self._host, self._port)) as conn:
             with conn.makefile("r", encoding="utf-8") as handle:
-                for line in handle:
-                    tokens = edge_tokens(line)
-                    if tokens is None:
-                        continue
-                    if remaining > 0:
-                        remaining -= 1
-                        continue
-                    us.append(int(tokens[0]))
-                    vs.append(int(tokens[1]))
-                    if len(us) >= self._chunk_size:
-                        yield (
-                            np.asarray(us, dtype=np.int32),
-                            np.asarray(vs, dtype=np.int32),
-                        )
-                        us, vs = [], []
-        if us:
-            yield (
-                np.asarray(us, dtype=np.int32),
-                np.asarray(vs, dtype=np.int32),
-            )
+                while True:
+                    lines = list(islice(handle, self._chunk_size))
+                    if not lines:
+                        return
+                    (us, vs), bad = parse_edge_lines(lines)
+                    # Every connection replays the same lines, so the
+                    # most bad lines any connection has seen is the count.
+                    bad_seen += bad
+                    self.skipped_lines = max(self.skipped_lines, bad_seen)
+                    drop = min(remaining, len(us))
+                    remaining -= drop
+                    if drop < len(us):
+                        yield us[drop:], vs[drop:]
 
     def _blocks(self) -> Iterator[Block]:
         rng = random.Random(self._jitter_seed)
@@ -495,6 +523,7 @@ def make_source(
 __all__ = [
     "Block",
     "SOURCE_SITE",
+    "parse_edge_lines",
     "SyntheticSource",
     "ResolvedSource",
     "FileTailSource",

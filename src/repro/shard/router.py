@@ -18,7 +18,7 @@ numpy's ``int32 -> uint64`` cast sign-extends exactly like
 
 from __future__ import annotations
 
-from repro.streams.chunks import numpy_or_none
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 #: splitmix64 constants (Steele, Lea & Flood; same mixer family as
@@ -78,12 +78,7 @@ def shard_columns(us, vs, shards: int, seed: int = 0):
 
     Returns an ``int64`` array of shard ids aligned with the input
     columns, bit-identical to the scalar router applied per edge.
-    Requires numpy (the columns already are numpy arrays on every path
-    that calls this); raises when it is unavailable.
     """
-    np = numpy_or_none()
-    if np is None:  # pragma: no cover - columnar callers imply numpy
-        raise RuntimeError("shard_columns requires numpy")
     if shards < 1:
         raise ValueError("shards must be >= 1")
     us = np.asarray(us)
@@ -95,11 +90,11 @@ def shard_columns(us, vs, shards: int, seed: int = 0):
     lo = np.minimum(us, vs).astype(np.uint64)
     hi = np.maximum(us, vs).astype(np.uint64)
     state = np.uint64(_mix64(seed + _INCREMENT))
-    keys = _mix64_array(np, _mix64_array(np, state ^ lo) ^ hi)
+    keys = _mix64_array(_mix64_array(state ^ lo) ^ hi)
     return (keys % np.uint64(shards)).astype(np.int64)
 
 
-def _mix64_array(np, z):
+def _mix64_array(z):
     """The splitmix64 finalizer over a ``uint64`` array (wrapping ops)."""
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(_MULT1)

@@ -10,10 +10,11 @@ One sharded pass is:
    (:mod:`repro.shard.router`) assigns every canonical edge to one of
    ``S`` shards; boolean-mask selection keeps each substream in arrival
    order;
-3. **drive** — each shard's substream runs through its own chunked
+3. **drive** — each shard's substream runs through its own
    :class:`~repro.engine.stream_engine.StreamEngine` over a GPS sampler
    with budget ``m/S`` and its own seed (``sampler_seed·S + s``, so
-   replications never collide with shard offsets);
+   replications never collide with shard offsets), chunked or scalar
+   as :func:`repro.api.execution.chunk_size_for` decides for the pass;
 4. **merge** — per-shard reservoirs are read out as ``(u, v, p)``
    records at the owner shard's final threshold and fed to
    :func:`repro.stats.merge.merge_estimates`, the union Algorithm-2
@@ -30,22 +31,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.compact import DEFAULT_CORE, validate_core
 from repro.core.estimates import GraphEstimates
 from repro.core.reservoir import snapshot_view
-from repro.core.weights import WeightFunction, is_label_free
-from repro.engine.stream_engine import (
-    DEFAULT_PIPELINE,
-    StreamEngine,
-    validate_pipeline,
-)
+from repro.core.weights import WeightFunction
+from repro.engine.stream_engine import StreamEngine
 from repro.shard.router import shard_columns, split_stream
 from repro.shard.spec import ShardSpec
 from repro.stats.merge import ShardRecord, merge_estimates
-from repro.streams.chunks import DEFAULT_CHUNK_SIZE, numpy_or_none
 from repro.streams.stream import EdgeStream
 
 #: Methods whose counters expose a GPS reservoir the HT merge can read.
@@ -107,15 +102,6 @@ def _int_labelled(population: EdgeStream) -> bool:
     )
 
 
-def _drive_shard(counter: Any, substream, chunked: bool):
-    """One shard's engine pass; returns the engine's edge count."""
-    if chunked:
-        engine = StreamEngine(counter, chunk_size=DEFAULT_CHUNK_SIZE)
-    else:
-        engine = StreamEngine(counter)
-    return engine.run(substream).edges
-
-
 class ShardedRunner:
     """Partition a stream across ``S`` GPS samplers and merge the HT sums.
 
@@ -168,7 +154,6 @@ class ShardedRunner:
         sampler_seed: int = 1,
         router_seed: int = 0,
         core: str = DEFAULT_CORE,
-        pipeline: str = DEFAULT_PIPELINE,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -179,7 +164,6 @@ class ShardedRunner:
             )
         validate_shardable_method(method)
         validate_core(core)
-        validate_pipeline(pipeline)
         self._population = (
             edges if isinstance(edges, EdgeStream) else EdgeStream(edges)
         )
@@ -197,7 +181,6 @@ class ShardedRunner:
         self._sampler_seed = sampler_seed
         self._router_seed = router_seed
         self._core = core
-        self._pipeline = pipeline
 
     # ------------------------------------------------------------------
     @classmethod
@@ -221,31 +204,6 @@ class ShardedRunner:
         return ShardSpec(shards=self._shards, router_seed=self._router_seed)
 
     # ------------------------------------------------------------------
-    @cached_property
-    def _chunk_columns(self):
-        """The population's int32 columns when the per-shard drives may
-        use the columnar gate, else ``None``.
-
-        Method and weight are checked first, so a configuration without
-        a vectorised gate (every topology-reading weight) never pays
-        for the columnar conversion.
-        """
-        if self._pipeline != "chunked" or numpy_or_none() is None:
-            return None
-        method = _get_method(self._method)
-        if method.reads_labels:
-            return None
-        if self._weight_fn is not None and not is_label_free(self._weight_fn):
-            return None
-        probe = method.make(
-            self._budget // self._shards, 0, self._sampler_seed,
-            weight_fn=self._weight_fn, core=self._core,
-        )
-        if not getattr(probe, "chunk_vectorized", False):
-            return None
-        return self._population.columnar()
-
-    # ------------------------------------------------------------------
     def run(
         self,
         stream_seed: Optional[int] = None,
@@ -260,11 +218,27 @@ class ShardedRunner:
         )
         # Wall time feeds only the throughput report, never an estimate.
         started = time.perf_counter()  # repro-lint: disable=nondet-ban
-        columns = self._chunk_columns
-        stream = self._population.permuted(
-            stream_seed, columns=columns is not None
+        method = _get_method(self._method)
+        # Shardable methods are length-free GPS samplers, so every
+        # shard's counter exists before routing and shard 0's settles
+        # the drive of the whole pass.
+        counters = [
+            method.make(
+                self._budget // self._shards, 0,
+                sampler_seed * self._shards + s,
+                weight_fn=self._weight_fn, core=self._core,
+            )
+            for s in range(self._shards)
+        ]
+        from repro.api import execution  # lazy, like _get_method
+
+        chunk_size = execution.chunk_size_for(
+            method, self._weight_fn, counters[0], self._population
         )
-        if columns is not None:
+        stream = self._population.permuted(
+            stream_seed, columns=chunk_size is not None
+        )
+        if chunk_size is not None:
             us, vs = stream.columnar()
             ids = shard_columns(us, vs, self._shards, self._router_seed)
             substreams = [
@@ -273,20 +247,13 @@ class ShardedRunner:
             ]
         else:
             substreams = split_stream(stream, self._shards, self._router_seed)
-        method = _get_method(self._method)
         samples: List[List[ShardRecord]] = []
         sizes: List[int] = []
         thresholds: List[float] = []
         shard_edges: List[int] = []
-        for s, substream in enumerate(substreams):
-            counter = method.make(
-                self._budget // self._shards, len(substream),
-                sampler_seed * self._shards + s,
-                weight_fn=self._weight_fn, core=self._core,
-            )
-            shard_edges.append(
-                _drive_shard(counter, substream, columns is not None)
-            )
+        for counter, substream in zip(counters, substreams):
+            engine = StreamEngine(counter, chunk_size=chunk_size)
+            shard_edges.append(engine.run(substream).edges)
             records, size, threshold = _extract_sample(counter)
             samples.append(records)
             sizes.append(size)
@@ -308,7 +275,7 @@ class ShardedRunner:
             shards=self._shards,
             elapsed_seconds=time.perf_counter()  # repro-lint: disable=nondet-ban
             - started,
-            pipeline="chunked" if columns is not None else "scalar",
+            pipeline="chunked" if chunk_size else "scalar",
             shard_edges=tuple(shard_edges),
             shard_sample_sizes=tuple(sizes),
             shard_thresholds=tuple(thresholds),

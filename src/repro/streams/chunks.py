@@ -29,10 +29,6 @@ generators, interned streams and integer edge-list files all are), so a
 chunked pass sees exactly the labels a scalar pass would and samples,
 checkpoints and reports stay label-faithful.  Arbitrary labels can opt
 in through an explicit :class:`~repro.streams.interner.NodeInterner`.
-
-numpy is a declared dependency (``pyproject.toml``), but every consumer
-degrades gracefully when it is absent: :func:`numpy_or_none` gates the
-fast paths, and the scalar pipeline remains the behavioural oracle.
 """
 
 from __future__ import annotations
@@ -40,12 +36,9 @@ from __future__ import annotations
 from itertools import chain, islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.graph.edge import Node
+import numpy as _np
 
-try:  # pragma: no cover - the container ships numpy; belt and braces
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.graph.edge import Node
 
 #: Default arrivals per columnar block.  Large enough to amortise the
 #: per-block fixed costs (MT19937 state transplant ~170 µs, reservoir
@@ -62,11 +55,6 @@ _INT32_MAX = 2**31 - 1
 Edge = Tuple[Node, Node]
 #: A columnar block: equal-length int32 arrays (u column, v column).
 Chunk = Tuple["_np.ndarray", "_np.ndarray"]
-
-
-def numpy_or_none():
-    """The :mod:`numpy` module, or ``None`` when unavailable."""
-    return _np
 
 
 def int32_labelled(edges: Iterable[Edge]) -> bool:
@@ -95,8 +83,8 @@ def columnar_or_none(edges: Sequence[Edge]) -> Optional[Chunk]:
 
     Succeeds only when :func:`int32_labelled` holds — then the columns
     carry the *original* labels and a chunked pass is label-faithful.
-    Anything else (strings, floats, overflow, missing numpy) returns
-    ``None`` and callers keep the scalar tuple path.
+    Anything else (strings, floats, overflow) returns ``None`` and
+    callers keep the scalar tuple path.
 
     Examples
     --------
@@ -106,7 +94,7 @@ def columnar_or_none(edges: Sequence[Edge]) -> Optional[Chunk]:
     >>> columnar_or_none([("a", "b")]) is None
     True
     """
-    if _np is None or not int32_labelled(edges):
+    if not int32_labelled(edges):
         return None
     n = len(edges)
     flat = _np.fromiter(
@@ -143,8 +131,8 @@ def iter_chunks(
     Labels must already be int32-range ints; pass a
     :class:`~repro.streams.interner.NodeInterner` to intern arbitrary
     labels to dense ids instead (the interner keeps the id → label map).
-    Raises :class:`TypeError` on non-integer labels without an interner
-    and :class:`RuntimeError` when numpy is unavailable.
+    Raises :class:`TypeError` on non-integer labels without an
+    interner.
 
     Examples
     --------
@@ -152,8 +140,6 @@ def iter_chunks(
     >>> [(u.tolist(), v.tolist()) for u, v in blocks]
     [([0, 1], [1, 2]), ([2, 3], [3, 4]), ([4], [5])]
     """
-    if _np is None:
-        raise RuntimeError("columnar chunks need numpy, which is unavailable")
     if size <= 0:
         raise ValueError("chunk size must be positive")
     it = iter(edges)
@@ -178,6 +164,5 @@ __all__ = [
     "columnar_or_none",
     "int32_labelled",
     "iter_chunks",
-    "numpy_or_none",
     "pairs_from_columns",
 ]

@@ -20,13 +20,11 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.edge import Node
-from repro.streams.chunks import (
-    DEFAULT_CHUNK_SIZE,
-    columnar_or_none,
-    numpy_or_none,
-)
+from repro.streams.chunks import DEFAULT_CHUNK_SIZE, columnar_or_none
 from repro.streams.interner import NodeInterner
 
 
@@ -143,7 +141,6 @@ class EdgeStream:
         random.Random(seed).shuffle(order)
         if columns:
             us, vs = self._require_columns()
-            np = numpy_or_none()
             index = np.fromiter(order, dtype=np.intp, count=len(order))
             return EdgeStream.from_columns(us[index], vs[index])
         edges = self._pairs()
@@ -209,10 +206,6 @@ class EdgeStream:
         """
         if size <= 0:
             raise ValueError("chunk size must be positive")
-        if numpy_or_none() is None:
-            raise RuntimeError(
-                "columnar chunks need numpy, which is unavailable"
-            )
         if self.columnar() is None and interner is not None:
             u, v = columnar_or_none(interner.intern_edges(self._edges))
         else:

@@ -15,8 +15,9 @@ from __future__ import annotations
 from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, Set, Tuple
 
+import numpy as np
+
 from repro.graph.edge import EdgeKey, Node, canonical_edge, is_self_loop
-from repro.streams.chunks import numpy_or_none
 
 
 def simplify_edges(
@@ -53,7 +54,6 @@ def simplify_columns(us, vs):
     >>> u.tolist(), v.tolist()
     ([1, 1], [2, 4])
     """
-    np = numpy_or_none()
     loops = us == vs
     if loops.any():
         us, vs = us[~loops], vs[~loops]

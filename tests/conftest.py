@@ -20,6 +20,25 @@ from repro.graph.generators import complete_graph, powerlaw_cluster
 
 
 @pytest.fixture()
+def scalar_drive(monkeypatch):
+    """Call a function with every pass forced onto the scalar drive.
+
+    ``scalar_drive(run, spec)`` patches the one chunked-or-scalar
+    decision, :func:`repro.api.execution.chunk_size_for`, for the call:
+    the reference the chunked drive must equal bit for bit.  Pool
+    workers fork inside the call, so pooled runs follow the patch too.
+    """
+    from repro.api import execution
+
+    def call(fn, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(execution, "chunk_size_for", lambda *_: None)
+            return fn(*args, **kwargs)
+
+    return call
+
+
+@pytest.fixture()
 def triangle_graph() -> AdjacencyGraph:
     """The single triangle on nodes 0-2."""
     return AdjacencyGraph([(0, 1), (1, 2), (0, 2)])

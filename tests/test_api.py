@@ -173,34 +173,6 @@ class TestRunEquivalence:
             direct.process(u, v)
         assert report.estimates["triangles"] == direct.triangle_estimate
 
-    def test_run_matches_legacy_run_gps_shim(self, api_graph, api_stats):
-        from repro.experiments.runner import run_gps
-
-        legacy = run_gps(api_graph, api_stats, capacity=130, stream_seed=4,
-                         sampler_seed=6)
-        report = run(
-            RunSpec(source="<g>", method="gps", budget=130,
-                    stream_seed=4, sampler_seed=6),
-            graph=api_graph,
-        )
-        assert report.in_stream.triangles.value == legacy.in_stream.triangles.value
-        assert report.post_stream.triangles.value == (
-            legacy.post_stream.triangles.value
-        )
-
-    def test_run_matches_legacy_run_baseline_shim(self, api_graph, api_stats):
-        from repro.experiments.runner import run_baseline
-
-        for method in ("triest", "mascot", "gps-post"):
-            legacy = run_baseline(method, api_graph, api_stats, budget=100,
-                                  stream_seed=0, seed=3)
-            report = run(
-                RunSpec(source="<g>", method=method, budget=100,
-                        stream_seed=0, sampler_seed=3),
-                graph=api_graph,
-            )
-            assert report.estimates["triangles"] == legacy.estimate
-
     def test_unknown_method_raises(self, api_graph):
         with pytest.raises(ValueError, match="unknown method"):
             run(RunSpec(source="<g>", method="nope"), graph=api_graph)

@@ -27,6 +27,7 @@ import repro.core.weights
 import repro.engine.shared_edges
 import repro.graph.io
 import repro.heap.slot_heap
+import repro.serve.source
 import repro.streams.chunks
 import repro.streams.interner
 import repro.streams.stream
@@ -47,6 +48,7 @@ MODULES = [
     repro.engine.shared_edges,
     repro.graph.io,
     repro.heap.slot_heap,
+    repro.serve.source,
     repro.streams.chunks,
     repro.streams.interner,
     repro.streams.stream,

@@ -182,10 +182,13 @@ class TestDistributedSweepChaos:
         self, spec, tmp_path
     ):
         oracle = run_sweep(spec.replace(workers=0))
-        # Worker 0 SIGKILLs itself after its second claim — lease held,
-        # no result published.  The short lease timeout lets worker 1
-        # reclaim the orphaned cell and re-execute it; the assembled
-        # report must not show the crash in its numbers.
+        # Each worker SIGKILLs itself at its own second claim — lease
+        # held, no result published.  Six cells cannot be done in one
+        # claim each, so a lease is orphaned on every schedule: a
+        # surviving worker, or the coordinator's drain once the whole
+        # fleet is gone, reclaims it after the short lease timeout and
+        # re-executes the cell; the assembled report must not show the
+        # crash in its numbers.
         plan = FaultPlan(
             faults=(
                 FaultSpec(kind="crash-worker-midcell", site="distrib",
@@ -199,7 +202,7 @@ class TestDistributedSweepChaos:
                 workers=2, lease_timeout=1.0,
                 heartbeat_interval=0.1, poll_interval=0.02,
             ),
-            fault_plans={0: plan},
+            fault_plans={0: plan, 1: plan},
         )
         assert report.distributed_workers == 2
         assert report.leases_reclaimed > 0

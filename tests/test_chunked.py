@@ -19,6 +19,7 @@ import pytest
 from repro.api.execution import execute, replicate, run
 from repro.api.registry import GpsPostStreamAdapter, get_weight, weight_names
 from repro.api.spec import RunSpec
+from repro.api.sweep import SweepSpec
 from repro.core.compact import (
     CompactGraphPrioritySampler,
     CompactInStreamEstimator,
@@ -26,12 +27,7 @@ from repro.core.compact import (
 from repro.core.in_stream import InStreamEstimator
 from repro.core.priority_sampler import GraphPrioritySampler
 from repro.core.weights import AttributeWeight, UniformWeight, is_label_free
-from repro.engine.stream_engine import (
-    DEFAULT_PIPELINE,
-    PIPELINES,
-    StreamEngine,
-    validate_pipeline,
-)
+from repro.engine.stream_engine import StreamEngine
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.io import iter_edge_chunks, write_edge_list
 from repro.streams.chunks import (
@@ -147,12 +143,6 @@ class TestColumnar:
         with pytest.raises(ValueError):
             next(iter_chunks(clean_edges, size=-1))
 
-    def test_pipeline_validation(self):
-        assert validate_pipeline(DEFAULT_PIPELINE) == DEFAULT_PIPELINE
-        with pytest.raises(ValueError):
-            validate_pipeline("turbo")
-        assert set(PIPELINES) == {"chunked", "scalar"}
-
 
 # ----------------------------------------------------------------------
 # process_chunk bit-equivalence (direct classes)
@@ -264,28 +254,6 @@ class TestProcessChunkEquivalence:
                 adapter.sampler.normalized_probabilities()
                 == scalar.normalized_probabilities()
             )
-
-    def test_reset_restores_fresh_state(self, clean_edges):
-        warm = CompactGraphPrioritySampler(
-            100, weight_fn=UniformWeight(), seed=42
-        )
-        warm.process_many(clean_edges)
-        warm.reset(9)
-        drive_chunked(warm, clean_edges, 128)
-        fresh = CompactGraphPrioritySampler(
-            100, weight_fn=UniformWeight(), seed=9
-        )
-        fresh.process_many(clean_edges)
-        assert sampler_signature(warm) == sampler_signature(fresh)
-
-    def test_estimator_reset(self, clean_edges):
-        warm = CompactInStreamEstimator(80, seed=1)
-        warm.process_many(clean_edges)
-        warm.reset(6)
-        warm.process_many(clean_edges)
-        fresh = CompactInStreamEstimator(80, seed=6)
-        fresh.process_many(clean_edges)
-        assert warm.estimates() == fresh.estimates()
 
 
 # ----------------------------------------------------------------------
@@ -414,11 +382,13 @@ def graph_file(tmp_path_factory, clean_edges):
 class TestRunSpecPipeline:
     @pytest.mark.parametrize("method", ["gps", "gps-post", "gps-in-stream"])
     @pytest.mark.parametrize("weight", ["uniform", "triangle", "wedge"])
-    def test_chunked_vs_scalar_bit_equal(self, graph_file, method, weight):
+    def test_chunked_vs_scalar_bit_equal(
+        self, graph_file, method, weight, scalar_drive
+    ):
         spec = RunSpec(source=graph_file, method=method, budget=120,
-                       weight=weight, pipeline="chunked")
+                       weight=weight)
         chunked = run(spec)
-        scalar = run(spec.replace(pipeline="scalar"))
+        scalar = scalar_drive(run, spec)
         assert chunked.estimates == scalar.estimates
         assert chunked.sample_size == scalar.sample_size
         assert chunked.threshold == scalar.threshold
@@ -428,12 +398,13 @@ class TestRunSpecPipeline:
                                  and weight == "uniform") else "scalar"
         assert chunked.pipeline == expected
 
-    def test_tracking_marks_land_mid_chunk(self, graph_file):
+    def test_tracking_marks_land_mid_chunk(self, graph_file, scalar_drive):
         spec = RunSpec(source=graph_file, method="gps-post", budget=80,
                        weight="uniform", checkpoints=7)
         chunked = run(spec)
-        scalar = run(spec.replace(pipeline="scalar"))
+        scalar = scalar_drive(run, spec)
         assert chunked.pipeline == "chunked"
+        assert scalar.pipeline == "scalar"
         assert len(chunked.tracking) == 7
         for a, b in zip(chunked.tracking, scalar.tracking):
             assert (a.position, a.estimate, a.exact_triangles) == (
@@ -441,8 +412,7 @@ class TestRunSpecPipeline:
             )
 
     def test_label_reading_weight_falls_back(self, graph_file):
-        spec = RunSpec(source=graph_file, method="gps-post", budget=80,
-                       pipeline="chunked")
+        spec = RunSpec(source=graph_file, method="gps-post", budget=80)
         report = run(spec, weight_fn=AttributeWeight(lambda u, v: 1.0))
         assert report.pipeline == "scalar"
 
@@ -450,28 +420,36 @@ class TestRunSpecPipeline:
         report = run(RunSpec(source=graph_file, method="gps-post",
                              budget=80, weight="uniform"))
         assert report.to_dict()["pipeline"] == "chunked"
+        assert "pipeline" not in report.to_dict()["spec"]
         rebuilt = type(report).from_dict(report.to_dict())
         assert rebuilt.pipeline == "chunked"
 
     def test_spec_rejects_unknown_pipeline(self):
-        with pytest.raises(ValueError):
-            RunSpec(source="x.txt", pipeline="turbo")
+        """The drive is not an option: a spec naming one is rejected."""
+        with pytest.raises(TypeError):
+            RunSpec(source="x.txt", pipeline="scalar")
+        with pytest.raises(TypeError):
+            SweepSpec(pipeline="scalar")
+        with pytest.raises(ValueError, match="unknown RunSpec fields"):
+            RunSpec.from_dict({"source": "x.txt", "pipeline": "scalar"})
 
-    def test_replicated_report_resolves_pipeline(self, graph_file):
-        """A replicated report records the executed pipeline: the
-        default (triangle) weight has no vectorised gate, so asking for
-        chunked still reports scalar; the uniform weight engages it."""
+    def test_replicated_report_resolves_pipeline(
+        self, graph_file, scalar_drive
+    ):
+        """A replicated report records the drive that ran: the default
+        (triangle) weight has no vectorised gate, so it reports scalar;
+        the uniform weight engages the gate."""
         spec = RunSpec(source=graph_file, method="gps-post", budget=100,
-                       replications=3, workers=0, pipeline="chunked")
+                       replications=3, workers=0)
         assert run(spec).pipeline == "scalar"
         assert run(spec.replace(weight="uniform")).pipeline == "chunked"
-        assert run(
-            spec.replace(weight="uniform", pipeline="scalar")
+        assert scalar_drive(
+            run, spec.replace(weight="uniform")
         ).pipeline == "scalar"
 
     def test_replicated_object_core_reuses_nothing_but_works(self, graph_file):
-        """gps-post over the object core (no reset) replicates fine and
-        matches the compact core bit for bit."""
+        """gps-post over the object core replicates fine and matches the
+        compact core bit for bit."""
         spec = RunSpec(source=graph_file, method="gps-post", budget=100,
                        weight="uniform", replications=3, workers=0)
         compact = run(spec)
@@ -479,58 +457,61 @@ class TestRunSpecPipeline:
         assert object_core.estimates == compact.estimates
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_replication_chunked_vs_scalar(self, graph_file, workers):
+    def test_replication_chunked_vs_scalar(
+        self, graph_file, workers, scalar_drive
+    ):
         spec = RunSpec(source=graph_file, method="gps-post", budget=100,
-                       weight="uniform", replications=3, workers=workers,
-                       pipeline="chunked")
+                       weight="uniform", replications=3, workers=workers)
         chunked = replicate(spec)
-        scalar = replicate(spec.replace(pipeline="scalar"))
+        scalar = scalar_drive(replicate, spec)
+        assert (chunked.pipeline, scalar.pipeline) == ("chunked", "scalar")
         assert chunked.estimates == scalar.estimates
         for name in chunked.metrics:
             assert chunked.metrics[name] == scalar.metrics[name]
 
 
 # ----------------------------------------------------------------------
-# Replicated runs on the executor: task purity, pipelines, pool
+# Replicated runs on the executor: task purity, drives, pool
 # ----------------------------------------------------------------------
 class TestWarmArena:
     """One process runs many tasks back to back; none may leak state."""
 
-    def test_arena_reuse_is_bit_exact(self, clean_edges):
+    def test_arena_reuse_is_bit_exact(self, clean_edges, scalar_drive):
         """Back-to-back executor tasks match fresh single runs exactly."""
-        def spec(seed_pair, pipeline):
+        def spec(seed_pair):
             return RunSpec(source="<g>", method="gps-post", budget=90,
                            weight="uniform", stream_seed=seed_pair[0],
-                           sampler_seed=seed_pair[1], pipeline=pipeline)
+                           sampler_seed=seed_pair[1])
 
-        for pipeline in PIPELINES:
-            specs = [spec(pair, pipeline) for pair in ((1, 2), (3, 4), (1, 2))]
-            warm, _ = execute(specs, workers=0,
-                              populations={"<g>": clean_edges})
+        def direct(fn, *args, **kwargs):
+            return fn(*args, **kwargs)
+
+        specs = [spec(pair) for pair in ((1, 2), (3, 4), (1, 2))]
+        for drive, call in (("chunked", direct), ("scalar", scalar_drive)):
+            warm, _ = call(execute, specs, workers=0,
+                           populations={"<g>": clean_edges})
+            assert {r.pipeline for r in warm} == {drive}
             first, other, again = (
                 (r.estimates, r.threshold, r.sample_size) for r in warm
             )
             assert first == again
             assert first != other
-            fresh = run(spec((1, 2), pipeline), graph=clean_edges)
+            fresh = call(run, spec((1, 2)), graph=clean_edges)
             assert first == (fresh.estimates, fresh.threshold,
                              fresh.sample_size)
 
-    def test_runner_pipelines_match(self, clean_edges):
-        results = {}
-        for pipeline in PIPELINES:
-            report = run(
-                RunSpec(source="<g>", method="gps-post", budget=100,
-                        replications=3, workers=0, pipeline=pipeline),
-                graph=clean_edges, weight_fn=UniformWeight(),
-            )
-            assert report.pipeline == pipeline
-            results[pipeline] = report.metrics
-        assert results["chunked"] == results["scalar"]
+    def test_runner_pipelines_match(self, clean_edges, scalar_drive):
+        spec = RunSpec(source="<g>", method="gps-post", budget=100,
+                       replications=3, workers=0)
+        chunked = run(spec, graph=clean_edges, weight_fn=UniformWeight())
+        scalar = scalar_drive(run, spec, graph=clean_edges,
+                              weight_fn=UniformWeight())
+        assert (chunked.pipeline, scalar.pipeline) == ("chunked", "scalar")
+        assert chunked.metrics == scalar.metrics
 
     def test_runner_rejects_unknown_pipeline(self):
-        with pytest.raises(ValueError):
-            RunSpec(source="<g>", replications=3, pipeline="turbo")
+        with pytest.raises(TypeError):
+            RunSpec(source="<g>", replications=3, pipeline="scalar")
 
     def test_pooled_dispatches_match_inline(self, clean_edges):
         spec = RunSpec(source="<g>", method="gps-post", budget=90,

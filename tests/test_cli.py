@@ -354,6 +354,28 @@ class TestCoreFlag:
         assert "--core" in capsys.readouterr().err
 
 
+class TestNoPipelineFlag:
+    """The drive is chosen per pass, never by a flag."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "g.txt", "-m", "10"],
+        ["track", "g.txt", "-m", "10"],
+        ["replicate", "g.txt", "-m", "10"],
+        ["sweep", "--source", "g.txt"],
+    ])
+    def test_pipeline_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--pipeline", "scalar"])
+        assert exit_info.value.code == 2
+        assert "--pipeline" in capsys.readouterr().err
+
+    def test_saved_sweep_spec_with_pipeline_fails(self, tmp_path):
+        spec_path = tmp_path / "grid.json"
+        spec_path.write_text('{"sources": ["x.txt"], "pipeline": "scalar"}')
+        with pytest.raises(ValueError, match="unknown SweepSpec fields"):
+            main(["sweep", "--spec", str(spec_path)])
+
+
 class TestBench:
     def test_engine_quick_writes_uniform_schema(self, tmp_path, capsys):
         out = tmp_path / "bench.json"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import socket
+import struct
 import threading
 import time
 from pathlib import Path
@@ -39,7 +40,9 @@ from repro.graph.io import (
     read_edge_columns,
     read_edge_list,
 )
+from repro.serve.service import SamplingService
 from repro.serve.source import FileTailSource, SocketLineSource
+from repro.serve.spec import ServeSpec
 from repro.shard.runner import ShardedRunner
 from repro.streams.chunks import iter_chunks
 from repro.streams.stream import EdgeStream
@@ -460,6 +463,64 @@ def test_socket_source_skips_every_comment_form():
     finally:
         server.close()
     assert collected == [(0, 1), (1, 2)]
+
+
+#: Three malformed lines among six edges: a non-integer pair, an id
+#: past int32 and a word line, next to a comment that is not counted.
+MALFORMED = ("0 1\nx y\n1 2\n1 2147483648\n2 3\n3 4\n% note\n4 5\n"
+             "bad line\n5 6\n")
+MALFORMED_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+
+
+def test_followed_file_skips_and_counts_malformed_lines(tmp_path):
+    path = tmp_path / "tail.txt"
+    path.write_text(MALFORMED)
+    service = SamplingService(ServeSpec(
+        source=str(path), follow=True, budget=100, chunk_size=4,
+        poll_interval=0.01,
+    ))
+    service.start()
+    deadline = time.monotonic() + 10.0
+    while service.status()["stream_position"] < len(MALFORMED_EDGES) and (
+            time.monotonic() < deadline):
+        time.sleep(0.01)
+    status = service.status()
+    service.stop(drain=False)
+    assert status["stream_position"] == len(MALFORMED_EDGES)
+    assert status["resilience"]["source_skipped_lines"] == 3
+    assert status["resilience"]["degraded"] is False
+    assert status["errors"] == []
+
+
+def test_socket_source_skips_malformed_lines_across_a_reconnect():
+    """A dropped feed replays from its start: the replay skip counts
+    delivered edges only, and a replayed bad line is counted once."""
+    lines = MALFORMED.splitlines(keepends=True)
+    server = socket.create_server(("127.0.0.1", 0))
+    port = server.getsockname()[1]
+
+    def feed():
+        for drop in (True, False):
+            conn, _ = server.accept()
+            with conn:
+                if drop:
+                    conn.sendall("".join(lines[:5]).encode())
+                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                    struct.pack("ii", 1, 0))
+                else:
+                    conn.sendall("".join(lines).encode())
+
+    threading.Thread(target=feed, daemon=True).start()
+    source = SocketLineSource(f"tcp://127.0.0.1:{port}", chunk_size=2,
+                              retries=3, backoff=0.01)
+    try:
+        collected = []
+        for us, vs in source:
+            collected.extend(zip(us.tolist(), vs.tolist()))
+    finally:
+        server.close()
+    assert collected == MALFORMED_EDGES
+    assert source.skipped_lines == 3
 
 
 def test_sharded_runner_checks_every_label():

@@ -219,14 +219,12 @@ class TestShardedRunner:
         runner = ShardedRunner.from_layout(edges, layout, budget=100)
         assert runner.layout == layout
 
-    def test_chunked_equals_scalar_pipeline(self, edges):
+    def test_chunked_equals_scalar_pipeline(self, edges, scalar_drive):
         # The uniform weight engages the vectorised per-shard drives;
-        # forcing pipeline="scalar" must not change a single bit.
+        # forcing the scalar drive must not change a single bit.
         kwargs = dict(shards=4, budget=400, weight_fn=UniformWeight())
         chunked = ShardedRunner(edges, **kwargs).run()
-        scalar = ShardedRunner(
-            edges, pipeline="scalar", **kwargs
-        ).run()
+        scalar = scalar_drive(ShardedRunner(edges, **kwargs).run)
         assert chunked.pipeline == "chunked"
         assert scalar.pipeline == "scalar"
         assert (

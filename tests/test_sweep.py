@@ -389,7 +389,7 @@ class TestSweepCacheResume:
                        weight="uniform", stream_seed=2, sampler_seed=5,
                        shards=4)
         assert cell_report_key(spec, False, "ab" * 32) == (
-            "6b01461c4f1270a141c245da751d578f9212f64d9f9052cd63251c49e5d44b6f"
+            "9b355d2a6510b0882f90820d79e5f1b50a8ce792e20cc5a0b672444f4d344a34"
         )
 
     def test_resume_serves_cells_from_cache_bit_equivalently(
