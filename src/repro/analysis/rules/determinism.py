@@ -146,7 +146,7 @@ class _SetIterVisitor(ast.NodeVisitor):
 @register_rule(
     "nondet-ban",
     severity="error",
-    scope=("core", "stats", "serve", "shard", "distrib"),
+    scope=("core", "stats", "serve", "shard"),
     summary="No wall clocks, OS entropy, or hash-ordered set iteration "
     "in estimator layers",
     rationale=(

@@ -65,7 +65,7 @@ def _handler_disciplined(handler: ast.ExceptHandler) -> bool:
 @register_rule(
     "exception-discipline",
     severity="error",
-    scope=("engine", "shard", "serve", "distrib"),
+    scope=("engine", "shard", "serve"),
     summary="Broad except in concurrent subsystems must re-raise or "
     "record on a surfaced error channel",
     rationale=(

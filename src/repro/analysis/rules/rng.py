@@ -46,8 +46,7 @@ _SEED_SITES = frozenset({"__init__", "reset"})
 @register_rule(
     "rng-discipline",
     severity="error",
-    scope=("core", "baselines", "streams", "engine", "serve", "shard",
-           "distrib"),
+    scope=("core", "baselines", "streams", "engine", "serve", "shard"),
     summary="Draws come from an injected seeded RNG, never the module "
     "singletons; reseeding only in __init__/reset",
     rationale=(

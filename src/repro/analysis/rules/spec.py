@@ -38,8 +38,7 @@ def _is_frozen(decorator: ast.expr) -> bool:
 @register_rule(
     "frozen-spec",
     severity="error",
-    scope=("api/spec.py", "serve/spec.py", "shard/spec.py", "faults/spec.py",
-           "distrib/spec.py"),
+    scope=("api/spec.py", "serve/spec.py", "shard/spec.py", "faults/spec.py"),
     summary="Spec dataclasses must be frozen=True with paired "
     "to_dict/from_dict",
     rationale=(

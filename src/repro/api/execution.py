@@ -31,7 +31,16 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.api.registry import MethodSpec, get_method, get_weight
 from repro.api.spec import RunSpec
@@ -731,6 +740,7 @@ def execute(
     faults: Optional[Any] = None,
     retry_budget: int = DEFAULT_RETRY_BUDGET,
     site: str = "",
+    on_result: Optional[Callable[[int, RunReport], None]] = None,
 ) -> Tuple[List[RunReport], RetryStats]:
     """Run independent single-pass specs; one report per spec, in order.
 
@@ -755,7 +765,9 @@ def execute(
     resubmitted up to ``retry_budget`` times, a broken pool is rebuilt
     (re-publishing lost segments), ``faults`` are consulted at
     ``site``, and every published segment is unlinked on success,
-    failure and KeyboardInterrupt.
+    failure and KeyboardInterrupt.  ``on_result(i, report)`` is called
+    in this process for each spec, in order, as soon as its report (and
+    every earlier one) is in hand, inline and pooled alike.
 
     Example
     -------
@@ -776,11 +788,13 @@ def execute(
     if workers == 0:
         reports: List[RunReport] = []
         held, edges = None, None
-        for spec in specs:
+        for index, spec in enumerate(specs):
             if spec.source != held:
                 edges = None  # release the previous source first
                 held, edges = spec.source, population(spec.source)
             reports.append(_run_task(spec, edges, weight_fn, include_post))
+            if on_result is not None:
+                on_result(index, reports[-1])
         return reports, RetryStats()
 
     edges_of = {
@@ -827,6 +841,7 @@ def execute(
             injector=coerce_injector(faults),
             site=site,
             refresh=refresh,
+            on_result=on_result,
         )
     finally:
         for segment in published:

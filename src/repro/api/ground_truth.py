@@ -170,11 +170,9 @@ class ContentAddressedStore:
     def entries(self) -> "tuple[Path, ...]":
         """Paths of the store's payload entries, sorted by name.
 
-        The store directory is shared infrastructure: the distributed
-        sweep fabric parks ``<key>.lease`` claim files next to the
-        payloads, quarantine leaves ``<key>.json.corrupt`` siblings,
-        and in-flight writers hold ``.<key16>-*.tmp`` files.  A scan
-        must never mistake any of those for an entry, so the filter is
+        Quarantine leaves ``<key>.json.corrupt`` siblings next to the
+        payloads, and in-flight writers hold ``.<key16>-*.tmp`` files.
+        A scan must never mistake either for an entry, so the filter is
         explicit: payloads are exactly the non-hidden ``*.json`` files.
         """
         if self._root is None or not self._root.is_dir():
@@ -186,7 +184,6 @@ class ContentAddressedStore:
                 if path.suffix == ".json"
                 and not path.name.startswith(".")
                 and not path.name.endswith(self.QUARANTINE_SUFFIX)
-                and not path.name.endswith(".lease")
                 and not path.name.endswith(".tmp")
             )
         )

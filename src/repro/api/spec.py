@@ -110,8 +110,10 @@ class RunSpec:
                 "replicated pass aggregates final estimates only and would "
                 "silently drop the tracking schedule"
             )
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
+        if not isinstance(self.shards, int) or self.shards < 1:
+            # An int also keeps `budget % shards` below from overflowing
+            # a float when a JSON spec carries a huge budget.
+            raise ValueError("shards must be an integer >= 1")
         if self.shards > 1:
             if self.budget % self.shards != 0:
                 raise ValueError(

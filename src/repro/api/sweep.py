@@ -16,8 +16,10 @@ cells, and :func:`run_sweep` executes them through the existing
   so exact statistics are computed once per source and reused by every
   cell of the grid — and by every later sweep pointed at the same cache
   directory;
-* an optional per-cell report cache (same directory, ``cells/``) that
-  lets ``python -m repro sweep --resume`` skip already-computed cells.
+* an optional per-replication report cache (same directory,
+  ``cells/``), written as each replication finishes, that lets
+  ``python -m repro sweep --resume`` skip already-computed
+  replications — also after a crash or a kill mid-grid.
 
 The result is a :class:`SweepReport`: per-cell metric summaries (mean /
 variance / 95% CI across the seed replications), relative-error
@@ -472,12 +474,6 @@ class SweepReport:
     pool_rebuilds: int = 0
     #: Corrupt cache entries set aside (and recounted) this run.
     cache_quarantined: int = 0
-    #: Worker fleet size of a distributed run (0 = not distributed).
-    distributed_workers: int = 0
-    #: Stale leases reclaimed across the fleet (distributed runs only).
-    leases_reclaimed: int = 0
-    #: Cells executed under a reclaimed lease — the at-least-once cost.
-    cells_reexecuted: int = 0
 
     def cell(
         self,
@@ -570,11 +566,6 @@ class SweepReport:
                 "task_retries": self.task_retries,
                 "pool_rebuilds": self.pool_rebuilds,
             },
-            "distrib": {
-                "workers": self.distributed_workers,
-                "leases_reclaimed": self.leases_reclaimed,
-                "cells_reexecuted": self.cells_reexecuted,
-            },
         }
 
     def to_json(self, **kwargs: Any) -> str:
@@ -648,36 +639,6 @@ def cell_report_key(
                         "repro": __version__, "spec": descriptor})
 
 
-def expand_for_execution(
-    spec: SweepSpec, gt_cache: GroundTruthCache
-) -> Tuple[
-    Tuple[SweepCell, ...], Tuple[CellKey, ...], Dict[str, GraphStatistics]
-]:
-    """Expand a grid to its executable cells, exactly as :func:`run_sweep`.
-
-    Returns ``(cells, skipped, truths)`` after ground-truth resolution
-    and budget-policy application — the shared front half of the inline
-    runner and the distributed coordinator, so both enumerate (and
-    content-address) the *same* replications in the same order.
-
-    Example
-    -------
-    >>> spec = SweepSpec(sources=("com-amazon",), methods=("triest",),
-    ...                  budgets=(500,), budget_policy="clip")
-    >>> cells, skipped, truths = expand_for_execution(
-    ...     spec, GroundTruthCache())                     # doctest: +SKIP
-    >>> [cell.key.budget for cell in cells]               # doctest: +SKIP
-    [500]
-    """
-    cells = spec.expand()
-    truths = {
-        source: gt_cache.statistics(source)
-        for source in dict.fromkeys(cell.key.source for cell in cells)
-    }
-    cells, skipped = _apply_budget_policy(spec, cells, truths)
-    return cells, skipped, truths
-
-
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -695,17 +656,21 @@ def run_sweep(
         The grid description.
     cache_dir:
         Root of the on-disk cache.  Ground truth (``ground_truth/``) and
-        per-replication reports (``cells/``) are written there; without
-        it, ground truth is still shared in-process across all cells.
+        per-replication reports (``cells/``) are written there, each
+        report the moment its replication finishes (inline or pooled),
+        so a sweep that dies mid-grid — an exception, a crash, a kill —
+        keeps every replication it completed.  Without it, ground truth
+        is still shared in-process across all cells.
     resume:
         Reuse cached per-replication reports instead of re-executing
-        them.  Resumed reports carry their full metric/estimate payload
-        but not live estimate-bundle objects (``in_stream`` and the
-        like), which do not round-trip through JSON.  Cache entries are
-        keyed by spec + source content + package version — *not* by
-        estimator code — so after editing a method's implementation,
-        clear the cache directory rather than resuming over stale
-        estimates.
+        them, so only the replications a killed or failed sweep did not
+        finish run again.  Resumed reports carry their full
+        metric/estimate payload but not live estimate-bundle objects
+        (``in_stream`` and the like), which do not round-trip through
+        JSON.  Cache entries are keyed by spec + source content +
+        package version — *not* by estimator code — so after editing a
+        method's implementation, clear the cache directory rather than
+        resuming over stale estimates.
     ground_truth:
         Inject a pre-warmed :class:`GroundTruthCache` (tests, long-lived
         services); defaults to a fresh cache rooted at ``cache_dir``.
@@ -740,7 +705,12 @@ def run_sweep(
     if injector is not None and cell_store.root is not None:
         _apply_cache_faults(injector, cell_store.root)
 
-    cells, skipped, truths = expand_for_execution(spec, gt_cache)
+    cells = spec.expand()
+    truths = {
+        source: gt_cache.statistics(source)
+        for source in dict.fromkeys(cell.key.source for cell in cells)
+    }
+    cells, skipped = _apply_budget_policy(spec, cells, truths)
 
     # Gather the flat replication list; serve what we can from the cache.
     # Cell keys (which content-hash the source) are only computed when a
@@ -771,6 +741,9 @@ def run_sweep(
         else:
             pending.append((c, r, run_spec))
 
+    def store(index: int, report: RunReport) -> None:
+        cell_store.write(report_key(pending[index][2]), report.to_dict())
+
     workers = resolve_workers(spec.workers, len(pending))
     fresh, retry_stats = execute(
         [run_spec for _, _, run_spec in pending],
@@ -779,12 +752,11 @@ def run_sweep(
         faults=injector,
         retry_budget=retry_budget,
         site="sweep",
+        on_result=store if cell_cache_on else None,
     )
-    for (c, r, run_spec), report in zip(pending, fresh):
+    for (c, r, _), report in zip(pending, fresh):
         reports[(c, r)] = report
         cached[(c, r)] = False
-        if cell_cache_on:
-            cell_store.write(report_key(run_spec), report.to_dict())
 
     results = tuple(
         _aggregate_cell(
@@ -824,8 +796,8 @@ def _apply_cache_faults(injector: FaultInjector, root: Path) -> None:
     listing (modulo the entry count) — deterministic given a
     deterministic cache population, which a seeded sweep is.  The scan
     goes through :meth:`ContentAddressedStore.entries`, which skips the
-    ``.lease`` / ``.corrupt`` / tmp siblings a distributed sweep parks
-    next to the payloads.
+    ``.corrupt`` and tmp siblings quarantine and writers leave next to
+    the payloads.
     """
     entries = list(ContentAddressedStore(root).entries())
     if not entries:
@@ -919,6 +891,5 @@ __all__ = [
     "SweepReport",
     "SweepSpec",
     "cell_report_key",
-    "expand_for_execution",
     "run_sweep",
 ]

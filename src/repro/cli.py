@@ -27,14 +27,10 @@ Commands:
 * ``sweep``      a whole evaluation grid (sources × methods × budgets ×
                  weights × shards × seeds) in one command: cells fan across a
                  shared process pool, exact ground truth is cached
-                 content-addressed, ``--resume`` skips already-computed
-                 cells; per-cell error summaries, CSV/JSON export;
-                 ``--distributed N`` coordinates N sweep-worker
-                 processes over a lease-based work queue instead
-                 (crash-tolerant, bit-identical — docs/distributed.md);
-* ``sweep-worker``  join a distributed sweep: claim cells from a queue
-                 directory, execute, publish content-addressed reports,
-                 release; survivors reclaim stale leases of dead peers;
+                 content-addressed, each finished replication is written
+                 to the cache as it lands, and ``--resume`` skips every
+                 one already there — also after a crash or a kill;
+                 per-cell error summaries, CSV/JSON export;
 * ``serve``      long-running sampling service: background ingestion
                  (file / file tail / synthetic generator / TCP feed)
                  with concurrent JSON-lines estimate queries over
@@ -270,41 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the per-cell CSV matrix here")
     sweep.add_argument("--json", action="store_true",
                        help="emit the SweepReport as JSON")
-    sweep.add_argument("--distributed", type=int, default=None, metavar="N",
-                       help="coordinate N sweep-worker processes over the "
-                            "cache directory instead of an in-process pool "
-                            "(lease-based work queue; results bit-identical "
-                            "— see docs/distributed.md)")
-    sweep.add_argument("--lease-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="seconds without a heartbeat before a worker's "
-                            "cell lease is reclaimable (with --distributed; "
-                            "default: 30)")
-    sweep.add_argument("--heartbeat-interval", type=float, default=None,
-                       metavar="SECONDS",
-                       help="seconds between lease heartbeat touches "
-                            "(with --distributed; default: 1)")
-
-    sweep_worker = commands.add_parser(
-        "sweep-worker",
-        help="join a distributed sweep: claim, execute and publish cells "
-             "from a lease-based work queue",
-    )
-    sweep_worker.add_argument("--queue", metavar="DIR", required=True,
-                              help="queue directory (the coordinator's "
-                                   "<cache>/queue)")
-    sweep_worker.add_argument("--worker-id", default=None, metavar="ID",
-                              help="stable worker identity carried on "
-                                   "leases and summaries (default: w<pid>)")
-    sweep_worker.add_argument("--max-cells", type=int, default=None,
-                              metavar="N",
-                              help="stop after executing N cells "
-                                   "(default: run until the queue drains)")
-    sweep_worker.add_argument("--faults", metavar="FILE", default=None,
-                              help="FaultPlan JSON driving the distrib "
-                                   "fault hooks (chaos testing only)")
-    sweep_worker.add_argument("--json", action="store_true",
-                              help="emit the worker summary as JSON")
 
     serve = commands.add_parser(
         "serve", help="live sampling service answering JSON-lines queries"
@@ -402,7 +363,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "track": _cmd_track,
         "replicate": _cmd_replicate,
         "sweep": _cmd_sweep,
-        "sweep-worker": _cmd_sweep_worker,
         "serve": _cmd_serve,
         "lint": _cmd_lint,
         "methods": _cmd_methods,
@@ -552,23 +512,6 @@ def _cmd_sweep(args) -> int:
         print("sweep: --resume needs the cache that --no-cache disables; "
               "drop one of them", file=sys.stderr)
         return 2
-    if args.distributed is not None and args.no_cache:
-        print("sweep: --distributed coordinates workers over the cache "
-              "directory that --no-cache disables; drop one of them",
-              file=sys.stderr)
-        return 2
-    if args.distributed is not None and args.workers is not None:
-        print("sweep: --distributed replaces the in-process pool; "
-              "--workers does not apply (cells run one per claim)",
-              file=sys.stderr)
-        return 2
-    if args.distributed is None and (
-        args.lease_timeout is not None
-        or args.heartbeat_interval is not None
-    ):
-        print("sweep: --lease-timeout/--heartbeat-interval only apply "
-              "with --distributed", file=sys.stderr)
-        return 2
     if args.spec:
         # Every grid/execution field lives in the spec file; a flag
         # passed alongside it would be silently ignored, so reject any
@@ -622,29 +565,11 @@ def _cmd_sweep(args) -> int:
     if args.save_spec:
         Path(args.save_spec).write_text(spec.to_json(indent=2) + "\n")
 
-    if args.distributed is not None:
-        from repro.distrib import DistribSpec, run_distributed_sweep
-
-        distrib_kwargs = {"workers": args.distributed}
-        if args.lease_timeout is not None:
-            distrib_kwargs["lease_timeout"] = args.lease_timeout
-        if args.heartbeat_interval is not None:
-            distrib_kwargs["heartbeat_interval"] = args.heartbeat_interval
-        try:
-            distrib = DistribSpec(**distrib_kwargs)
-        except ValueError as error:
-            print(f"sweep: {error}", file=sys.stderr)
-            return 2
-        report = run_distributed_sweep(
-            spec, cache_dir=args.cache, distrib=distrib,
-            resume=args.resume,
-        )
-    else:
-        report = run_sweep(
-            spec,
-            cache_dir=None if args.no_cache else args.cache,
-            resume=args.resume,
-        )
+    report = run_sweep(
+        spec,
+        cache_dir=None if args.no_cache else args.cache,
+        resume=args.resume,
+    )
 
     notice_stream = sys.stderr if args.json else sys.stdout
     if args.csv:
@@ -683,10 +608,6 @@ def _cmd_sweep(args) -> int:
           f"{report.ground_truth_misses} exact recount(s)")
     print(f"cell reports: {report.cell_cache_hits} reused from cache, "
           f"{report.cell_cache_misses} executed")
-    if report.distributed_workers:
-        print(f"distributed: {report.distributed_workers} worker(s), "
-              f"{report.leases_reclaimed} lease(s) reclaimed, "
-              f"{report.cells_reexecuted} cell(s) re-executed")
     if report.skipped:
         names = ", ".join(
             f"{k.source}:{k.method}"
@@ -697,37 +618,6 @@ def _cmd_sweep(args) -> int:
         print(f"skipped (budget > |K|): {names}")
     if report.cache_dir:
         print(f"cache directory: {report.cache_dir}")
-    return 0
-
-
-def _cmd_sweep_worker(args) -> int:
-    import json as json_module
-    import os
-    from pathlib import Path
-
-    from repro.distrib import run_worker
-    from repro.faults import FaultPlan
-
-    queue_root = Path(args.queue)
-    if not (queue_root / "manifest.json").exists():
-        print(f"sweep-worker: no queue manifest under {queue_root} "
-              f"(point --queue at the coordinator's <cache>/queue)",
-              file=sys.stderr)
-        return 2
-    faults = None
-    if args.faults:
-        faults = FaultPlan.from_json(Path(args.faults).read_text())
-    worker_id = args.worker_id or f"w{os.getpid()}"
-    stats = run_worker(
-        queue_root, worker_id, faults=faults, max_cells=args.max_cells
-    )
-    if args.json:
-        print(json_module.dumps(stats.to_dict(), indent=2))
-        return 0
-    print(f"worker {stats.worker} (pid {stats.pid}): "
-          f"{stats.executed} cell(s) executed, "
-          f"{stats.reclaimed} lease(s) reclaimed, "
-          f"{stats.reexecuted} re-executed")
     return 0
 
 

@@ -20,11 +20,19 @@ the :class:`~repro.faults.FaultInjector` for an instruction per
 ``(task, attempt)`` and ships it inside the payload, so the burn-down
 state lives where a crashing worker cannot take it along — the retry of
 a once-crashed task deterministically succeeds.
+
+Workers never outlive the parent: each one watches its parent's
+sentinel from a daemon thread and exits the moment the parent dies,
+however it died.  A SIGKILLed sweep therefore leaves no orphaned
+workers, and the resource tracker, which outlives them, unlinks any
+shared-memory segment the parent had published.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -49,6 +57,9 @@ DEFAULT_REBUILD_BUDGET = 2
 #: Exit code of an injected worker crash (visible in core-dump triage).
 _CRASH_EXIT = 13
 
+#: Exit code of a worker that outlived its parent.
+_ORPHAN_EXIT = 14
+
 
 @dataclass
 class RetryStats:
@@ -66,6 +77,21 @@ class RetryStats:
 
     task_retries: int = 0
     pool_rebuilds: int = 0
+
+
+def _exit_with_parent() -> None:
+    """Block on the parent's sentinel, then exit without cleanup."""
+    multiprocessing.parent_process().join()
+    os._exit(_ORPHAN_EXIT)
+
+
+def _worker_init(
+    initializer: Optional[Callable[..., None]], *initargs: Any
+) -> None:
+    """Pool initializer: start the orphan watchdog, then the caller's."""
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+    if initializer is not None:
+        initializer(*initargs)
 
 
 def _faulted_entry(payload: Tuple[Optional[str], Callable[[Any], Any], Any]) -> Any:
@@ -91,6 +117,7 @@ def run_resilient(
     injector: Optional[FaultInjector] = None,
     site: str = "",
     refresh: Optional[Callable[[], Optional[Tuple[Any, ...]]]] = None,
+    on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> Tuple[List[Any], RetryStats]:
     """Run ``fn`` over ``tasks`` in a pool that survives worker death.
 
@@ -102,7 +129,8 @@ def run_resilient(
         Pool size (must be >= 1; inline dispatch is the caller's
         business).
     initializer / initargs:
-        Forwarded to every (re)built executor.
+        Run in every worker of every (re)built executor, after the
+        watchdog that ends the worker when the parent dies.
     retry_budget:
         Resubmissions allowed per task beyond its first attempt for
         the task's *own* exception; exhausting it re-raises.
@@ -116,6 +144,11 @@ def run_resilient(
         Called once per rebuild, before the new executor exists.  May
         return replacement ``initargs`` (e.g. a re-published shared
         segment's descriptor) or ``None`` to keep the current ones.
+    on_result:
+        Called in the parent as ``on_result(index, result)`` once per
+        task, in submission order, as soon as that task and every task
+        before it have finished — so a caller can persist results while
+        later tasks still run.
 
     Returns
     -------
@@ -132,12 +165,13 @@ def run_resilient(
     results: Dict[int, Any] = {}
     pending: List[Tuple[int, int]] = [(i, 0) for i in range(len(tasks))]
     current_initargs = tuple(initargs)
+    emitted = 0  # tasks handed to on_result so far
 
     def make_pool() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=workers,
-            initializer=initializer,
-            initargs=current_initargs,
+            initializer=_worker_init,
+            initargs=(initializer, *current_initargs),
         )
 
     pool = make_pool()
@@ -183,6 +217,9 @@ def run_resilient(
                         raise
                     next_pending.append((index, attempt + 1))
                     stats.task_retries += 1
+                while on_result is not None and emitted in results:
+                    on_result(emitted, results[emitted])
+                    emitted += 1
             if broken is not None:
                 stats.pool_rebuilds += 1
                 if stats.pool_rebuilds > rebuild_budget:

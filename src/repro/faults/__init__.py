@@ -20,7 +20,6 @@ from repro.faults.injector import (
 )
 from repro.faults.spec import (
     CORRUPTION_MODES,
-    DISTRIB_KINDS,
     FAULT_KINDS,
     SOURCE_KINDS,
     TASK_KINDS,
@@ -30,7 +29,6 @@ from repro.faults.spec import (
 
 __all__ = [
     "CORRUPTION_MODES",
-    "DISTRIB_KINDS",
     "FAULT_KINDS",
     "FaultInjected",
     "FaultInjector",

@@ -2,10 +2,9 @@
 
 :func:`backoff_delay` computes capped exponential backoff with jitter
 drawn from an *injected* seeded RNG — the retry schedule of a
-supervised source (or a reconnecting distributed worker) is as
-deterministic as its estimates.  CHANGES.md has always documented this
-module; the function previously lived in :mod:`repro.faults.corruption`
-and is still re-exported from there and from :mod:`repro.faults`.
+supervised serve source is as deterministic as its estimates.  The
+function previously lived in :mod:`repro.faults.corruption` and is
+still re-exported from there and from :mod:`repro.faults`.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Runtime state of a :class:`~repro.faults.spec.FaultPlan`.
 
 A :class:`FaultInjector` walks one plan through a run: every hook
-(resilient pool, serve source, distributed sweep worker) asks it
-"does a fault fire here?", and
-the injector burns down each fault's ``times`` budget and records what
-fired.  Decisions are pure functions of (plan, call sequence) — no
-clocks, no OS entropy — so a chaos run replays exactly.
+(resilient pool, serve source, sweep cache) asks it "does a fault fire
+here?", and the injector burns down each fault's ``times`` budget and
+records what fired.  Decisions are pure functions of (plan, call
+sequence) — no clocks, no OS entropy — so a chaos run replays exactly.
 
 Pool faults are decided in the *parent* process and shipped to the
 worker inside the task payload (the worker merely obeys ``"crash"`` /
@@ -112,55 +111,6 @@ class FaultInjector:
                 )
                 return fault.times
         return 0
-
-    # ------------------------------------------------------------------
-    # Distributed-sweep hooks (site "distrib")
-    # ------------------------------------------------------------------
-    def midcell_fault(self, site: str, index: int) -> bool:
-        """Should the worker SIGKILL itself after claim ``index``?
-
-        Fires once when the worker's zero-based claim counter equals
-        ``at`` — i.e. *after* the lease is taken but *before* the cell
-        result is written, leaving a live lease for survivors to
-        reclaim.
-        """
-        for slot, fault in self._armed(("crash-worker-midcell",), site):
-            if fault.at == index:
-                self._fire(slot, fault, site, index, 0)
-                return True
-        return False
-
-    def heartbeat_stalls(self, site: str, index: int) -> int:
-        """Heartbeat touches to skip, consulted at beat ``index``.
-
-        Fires at the first armed beat with ``index >= at``; ``times``
-        is the stall length (touches skipped, one occurrence), so a
-        long enough stall lets the lease cross ``lease_timeout`` and
-        be stolen while its owner is still alive — the double-claim
-        the idempotent store must absorb.
-        """
-        for slot, fault in self._armed(("stall-heartbeat",), site):
-            if index >= fault.at:
-                # One stall is one occurrence; `times` is its length.
-                self._remaining[slot] = 0
-                self.fired.append(
-                    FiredFault(fault.kind, site, index, 0)
-                )
-                return fault.times
-        return 0
-
-    def steal_lease(self, site: str, index: int) -> bool:
-        """Treat the fresh lease met at probe ``index`` as stale.
-
-        Consulted each time a claim scan encounters a *fresh* lease;
-        firing forces the reclaim path — a deliberate double-claim of
-        a cell another worker is still executing.
-        """
-        for slot, fault in self._armed(("steal-lease",), site):
-            if index >= fault.at:
-                self._fire(slot, fault, site, index, 0)
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # Cache hooks

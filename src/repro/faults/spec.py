@@ -28,9 +28,6 @@ FAULT_KINDS = (
     "disconnect-source",
     "stall-source",
     "corrupt-cache",
-    "crash-worker-midcell",
-    "stall-heartbeat",
-    "steal-lease",
 )
 
 #: Cache-entry corruption modes (``corrupt-cache`` only).
@@ -41,12 +38,6 @@ TASK_KINDS = ("crash-worker", "raise-task")
 
 #: Kinds addressed by block index through a serve source.
 SOURCE_KINDS = ("disconnect-source", "stall-source")
-
-#: Kinds addressed through the distributed sweep fabric (site
-#: ``"distrib"``): SIGKILL a sweep worker after it claims its ``at``-th
-#: cell, skip heartbeat touches so a live lease goes stale, or claim a
-#: fresh lease as if it were stale (a forced double-claim).
-DISTRIB_KINDS = ("crash-worker-midcell", "stall-heartbeat", "steal-lease")
 
 
 @dataclass(frozen=True)
@@ -65,16 +56,13 @@ class FaultSpec:
         Zero-based trigger index: the pool task index for task kinds,
         the delivered-block index for source kinds (the fault fires at
         the first block whose index is ``>= at``, so a resumed stream
-        re-triggers only while ``times`` lasts), the claim index for
-        ``crash-worker-midcell`` / ``steal-lease`` and the heartbeat
-        index for ``stall-heartbeat``.  Unused by ``corrupt-cache``
-        (corruption is applied to an entry by the test harness, not an
-        index).
+        re-triggers only while ``times`` lasts).  For
+        ``corrupt-cache`` it picks the entry of the sorted cell listing
+        to corrupt (modulo the entry count).
     times:
         How many times the fault fires before burning out.  For
-        ``stall-source`` this is instead the stall length in polls and
-        for ``stall-heartbeat`` the number of heartbeat touches to
-        skip (a stall is one fault occurrence).
+        ``stall-source`` this is instead the stall length in polls (a
+        stall is one fault occurrence).
     mode:
         Corruption mode for ``corrupt-cache`` (one of
         :data:`CORRUPTION_MODES`); ignored by other kinds.
@@ -187,7 +175,6 @@ class FaultPlan:
 
 __all__ = [
     "CORRUPTION_MODES",
-    "DISTRIB_KINDS",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",

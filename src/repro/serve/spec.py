@@ -110,8 +110,8 @@ class ServeSpec:
     retry_backoff_cap: float = 2.0
 
     def __post_init__(self) -> None:
-        if not self.source:
-            raise ValueError("source must be non-empty")
+        if not isinstance(self.source, str) or not self.source:
+            raise ValueError("source must be a non-empty string")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
         if self.chunk_size <= 0:

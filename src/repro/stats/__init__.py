@@ -1,10 +1,8 @@
-"""Statistics substrate: HT estimation, confidence intervals, error metrics.
+"""Statistics substrate: confidence intervals, error metrics, merging.
 
 Everything the estimation layer and the experiment harness need on the
 statistics side, implemented from scratch:
 
-* Horvitz–Thompson inverse-probability estimators (the algebra behind every
-  count estimate in the paper);
 * normal confidence intervals via a from-scratch inverse normal CDF
   (paper Sec. 6: ``X̂ ± 1.96·sqrt(Var[X̂])``);
 * the delta-method variance for ratio estimators (paper Eq. 11, used for
@@ -18,11 +16,6 @@ statistics side, implemented from scratch:
 """
 
 from repro.stats.confidence import confidence_interval, inverse_normal_cdf
-from repro.stats.horvitz_thompson import (
-    ht_estimate,
-    ht_variance_with_replacement,
-    inverse_probability,
-)
 from repro.stats.metrics import (
     absolute_relative_error,
     ci_coverage,
@@ -46,9 +39,6 @@ from repro.stats.variance import (
 __all__ = [
     "confidence_interval",
     "inverse_normal_cdf",
-    "ht_estimate",
-    "ht_variance_with_replacement",
-    "inverse_probability",
     "absolute_relative_error",
     "ci_coverage",
     "max_absolute_relative_error",

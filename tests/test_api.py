@@ -130,6 +130,10 @@ class TestRunSpec:
             {"source": "x", "workers": -1},
             {"source": "x", "replications": 2, "stream_seed": None},
             {"source": "x", "replications": 2, "checkpoints": 3},
+            # A float shard count would reach `budget % shards`, which
+            # overflows for a budget beyond float range.
+            {"source": "x", "budget": 10**400, "shards": 1.5},
+            {"source": "x", "budget": 8, "shards": 2.0},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

@@ -8,7 +8,9 @@ asserts that the faulted run (a) actually exercised the recovery path
 **bit-identical** to the fault-free oracle.  That equality is the
 whole point of the retry design: tasks and streams are pure functions
 of their seeds, so a resubmitted task or a replayed source recomputes
-the exact same numbers.
+the exact same numbers.  The sweep is also SIGKILLed for real, as a
+``python -m repro sweep`` subprocess, and resumed with ``--resume``
+semantics to the same numbers.
 
 These tests spin real process pools and TCP servers, so they are
 deselected from tier-1 (``addopts`` excludes ``-m chaos``) and run in
@@ -19,18 +21,25 @@ their own CI job::
 
 from __future__ import annotations
 
+import json
+import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import repro
 from repro.api.execution import run
+from repro.api.ground_truth import ContentAddressedStore
 from repro.api.spec import RunSpec
 from repro.api.sweep import SweepSpec, run_sweep
-from repro.distrib import DistribSpec, run_distributed_sweep
 from repro.faults import FaultPlan, FaultSpec
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.io import write_edge_list
@@ -151,25 +160,117 @@ class TestSweepChaos:
 
 
 # ----------------------------------------------------------------------
-# Distributed sweep: a SIGKILLed fleet worker's cells are reclaimed
+# Killed sweep: finished replications survive a SIGKILL and resume
 # ----------------------------------------------------------------------
-class TestDistributedSweepChaos:
+# Each wrapper runs the real CLI and SIGKILLs its own process from a
+# patched function, so the kill point is exact without any sleep.
+_KILL_INSIDE_TASK = """
+import os, signal, sys
+from repro.api import execution
+from repro.cli import main
+
+k = int(sys.argv[1])
+task, calls = execution._run_task, []
+
+def dying_task(*args):
+    calls.append(None)
+    if len(calls) == k + 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task(*args)
+
+execution._run_task = dying_task
+sys.exit(main(sys.argv[2:]))
+"""
+
+_KILL_AT_FIRST_CELL_WRITE = """
+import json, multiprocessing, os, signal, sys
+from repro.api.ground_truth import ContentAddressedStore
+from repro.cli import main
+
+pid_file = sys.argv[1]
+write = ContentAddressedStore.write
+
+def dying_write(self, key, data):
+    if self.root is None or self.root.name != "cells":
+        return write(self, key, data)
+    with open(pid_file, "w") as handle:
+        json.dump([p.pid for p in multiprocessing.active_children()], handle)
+    write(self, key, data)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+ContentAddressedStore.write = dying_write
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _killed_sweep(wrapper, args, spec, cache):
+    """Run ``repro sweep --spec`` under ``wrapper``; it must die by SIGKILL."""
+    spec_file = cache.parent / "spec.json"
+    spec_file.write_text(spec.to_json())
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    # Output goes to a file, not a pipe: an orphaned worker holding a
+    # pipe open would block this call long after the parent died.
+    log = cache.parent / "sweep.log"
+    with log.open("w") as handle:
+        done = subprocess.run(
+            [sys.executable, "-c", wrapper, *args, "sweep", "--spec",
+             str(spec_file), "--cache", str(cache)],
+            env=env, stdout=handle, stderr=handle, timeout=120,
+        )
+    assert done.returncode == -signal.SIGKILL, log.read_text()
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _shm_segments():
+    return {path.name for path in Path("/dev/shm").glob("psm_*")}
+
+
+def _wait_until(condition, timeout):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+class TestKilledSweepResumes:
     @pytest.fixture(scope="class")
     def spec(self, edge_file):
-        # 1 source x 2 methods x 3 budgets = the 6-cell grid.
+        # 2 methods x 2 budgets x 3 runs = 12 replications.
         return SweepSpec(
             sources=(edge_file,),
             methods=("triest", "gps-in-stream"),
-            budgets=(60, 80, 100),
-            runs=1,
+            budgets=(80, 120),
+            runs=3,
             base_stream_seed=3,
             base_sampler_seed=30,
+            workers=0,
         )
 
+    @pytest.fixture(scope="class")
+    def oracle(self, spec):
+        return run_sweep(spec)
+
     @staticmethod
-    def _assert_cells_identical(report, oracle):
-        assert len(report.cells) == len(oracle.cells) == 6
-        for cell, truth in zip(report.cells, oracle.cells):
+    def _resume_matches_oracle(spec, cache, oracle, present):
+        resumed = run_sweep(spec, cache_dir=cache, resume=True)
+        assert resumed.cell_cache_hits == present
+        assert resumed.cell_cache_misses == 12 - present
+        assert len(resumed.cells) == len(oracle.cells)
+        for cell, truth in zip(resumed.cells, oracle.cells):
             assert cell.key == truth.key
             assert cell.metrics == truth.metrics
             assert cell.triangles == truth.triangles
@@ -178,63 +279,43 @@ class TestDistributedSweepChaos:
                 r.estimates for r in truth.reports
             ]
 
-    def test_sigkilled_worker_cells_reclaimed_bit_identical(
-        self, spec, tmp_path
+    def test_inline_kill_keeps_finished_replications(
+        self, spec, oracle, tmp_path
     ):
-        oracle = run_sweep(spec.replace(workers=0))
-        # Each worker SIGKILLs itself at its own second claim — lease
-        # held, no result published.  Six cells cannot be done in one
-        # claim each, so a lease is orphaned on every schedule: a
-        # surviving worker, or the coordinator's drain once the whole
-        # fleet is gone, reclaims it after the short lease timeout and
-        # re-executes the cell; the assembled report must not show the
-        # crash in its numbers.
-        plan = FaultPlan(
-            faults=(
-                FaultSpec(kind="crash-worker-midcell", site="distrib",
-                          at=1),
-            )
-        )
-        report = run_distributed_sweep(
-            spec,
-            cache_dir=tmp_path,
-            distrib=DistribSpec(
-                workers=2, lease_timeout=1.0,
-                heartbeat_interval=0.1, poll_interval=0.02,
-            ),
-            fault_plans={0: plan, 1: plan},
-        )
-        assert report.distributed_workers == 2
-        assert report.leases_reclaimed > 0
-        assert report.cells_reexecuted > 0
-        assert report.cell_cache_hits == 6  # assembly replays the store
-        self._assert_cells_identical(report, oracle)
+        cache = tmp_path / "cache"
+        k = 7
+        _killed_sweep(_KILL_INSIDE_TASK, [str(k)], spec, cache)
+        assert len(ContentAddressedStore(cache / "cells").entries()) == k
+        self._resume_matches_oracle(spec, cache, oracle, present=k)
 
-    def test_heartbeat_stall_converges_bit_identical(self, spec, tmp_path):
-        oracle = run_sweep(spec.replace(workers=0))
-        # Worker 0's heartbeat thread swallows its touches, so its
-        # leases can go stale mid-execution and be reclaimed while it
-        # is still computing.  Both copies of a doubly-executed cell
-        # write byte-identical content-addressed results, so the
-        # convergence guarantee is unconditional even though the
-        # reclaim counters depend on scheduling.
-        plan = FaultPlan(
-            faults=(
-                FaultSpec(kind="stall-heartbeat", site="distrib",
-                          at=0, times=1000),
-            )
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(),
+        reason="tells a live worker from a zombie through procfs",
+    )
+    def test_pooled_parent_kill_leaves_no_orphans(
+        self, spec, oracle, tmp_path
+    ):
+        cache = tmp_path / "cache"
+        pid_file = tmp_path / "pids.json"
+        segments = _shm_segments()
+        _killed_sweep(
+            _KILL_AT_FIRST_CELL_WRITE, [str(pid_file)],
+            spec.replace(workers=2), cache,
         )
-        report = run_distributed_sweep(
-            spec,
-            cache_dir=tmp_path,
-            distrib=DistribSpec(
-                workers=2, lease_timeout=0.4,
-                heartbeat_interval=0.1, poll_interval=0.02,
-            ),
-            fault_plans={0: plan},
-        )
-        assert report.distributed_workers == 2
-        self._assert_cells_identical(report, oracle)
+        pids = json.loads(pid_file.read_text())
+        assert len(pids) >= 2
+        _wait_until(lambda: not any(map(_running, pids)), timeout=10)
+        orphans = [pid for pid in pids if _running(pid)]
+        for pid in orphans:  # never leak them past a failure
+            os.kill(pid, signal.SIGKILL)
+        assert orphans == []
+        # The resource tracker outlives the workers and unlinks the
+        # segment the dead parent published.
+        assert _wait_until(
+            lambda: not _shm_segments() - segments, timeout=10
+        ), _shm_segments() - segments
+        assert len(ContentAddressedStore(cache / "cells").entries()) == 1
+        self._resume_matches_oracle(spec, cache, oracle, present=1)
 
 
 # ----------------------------------------------------------------------

@@ -87,7 +87,6 @@ def test_invariant_catalog_lists_every_rule():
         "serving.md",
         "sharding.md",
         "robustness.md",
-        "distributed.md",
     ],
 )
 def test_documentation_suite_present(doc):

@@ -168,6 +168,24 @@ class TestProcessPoolDeath:
                 crashed.metrics[name].mean == oracle.metrics[name].mean
             )
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_on_result_sees_each_report_once_in_order(self, graph, workers):
+        specs = [RunSpec(source="<g>", budget=30, stream_seed=i)
+                 for i in range(4)]
+        plan = FaultPlan(
+            faults=(FaultSpec(kind="crash-worker", site="sweep", at=1),)
+        )
+        seen = []
+        reports, _ = execute(
+            specs, workers=workers, populations={"<g>": graph},
+            faults=plan, site="sweep",
+            on_result=lambda i, report: seen.append((i, report)),
+        )
+        # A crashed task's retry holds back the reports after it, so
+        # the callback still sees submission order.
+        assert [i for i, _ in seen] == [0, 1, 2, 3]
+        assert [report for _, report in seen] == reports
+
     def test_retry_budget_exhaustion_raises(self, graph):
         plan = FaultPlan(
             faults=(

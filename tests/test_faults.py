@@ -15,7 +15,6 @@ import pytest
 
 from repro.faults import (
     CORRUPTION_MODES,
-    DISTRIB_KINDS,
     FAULT_KINDS,
     FaultInjected,
     FaultInjector,
@@ -156,67 +155,6 @@ class TestInjectorDecisions:
         injector = coerce_injector(plan)
         assert isinstance(injector, FaultInjector)
         assert coerce_injector(injector) is injector
-
-
-class TestDistribHooks:
-    def test_distrib_kinds_are_registered(self):
-        assert set(DISTRIB_KINDS) <= set(FAULT_KINDS)
-        for kind in DISTRIB_KINDS:
-            spec = FaultSpec(kind=kind, site="distrib")
-            assert FaultSpec.from_dict(spec.to_dict()) == spec
-
-    def test_midcell_fires_once_at_exact_index(self):
-        injector = FaultInjector(
-            FaultPlan(
-                faults=(
-                    FaultSpec(kind="crash-worker-midcell",
-                              site="distrib", at=2),
-                )
-            )
-        )
-        assert not injector.midcell_fault("distrib", 1)
-        assert not injector.midcell_fault("distrib", 3)  # exact, not >=
-        assert injector.midcell_fault("distrib", 2)
-        assert not injector.midcell_fault("distrib", 2)  # burned
-        assert [f.kind for f in injector.fired] == ["crash-worker-midcell"]
-
-    def test_heartbeat_stall_burns_fully_and_returns_times(self):
-        injector = FaultInjector(
-            FaultPlan(
-                faults=(
-                    FaultSpec(kind="stall-heartbeat", site="distrib",
-                              at=1, times=4),
-                )
-            )
-        )
-        assert injector.heartbeat_stalls("distrib", 0) == 0
-        assert injector.heartbeat_stalls("distrib", 5) == 4  # threshold
-        assert injector.heartbeat_stalls("distrib", 6) == 0  # burned
-
-    def test_steal_lease_threshold_and_budget(self):
-        injector = FaultInjector(
-            FaultPlan(
-                faults=(
-                    FaultSpec(kind="steal-lease", site="distrib",
-                              at=1, times=2),
-                )
-            )
-        )
-        assert not injector.steal_lease("distrib", 0)
-        assert injector.steal_lease("distrib", 1)
-        assert injector.steal_lease("distrib", 4)
-        assert not injector.steal_lease("distrib", 5)  # budget exhausted
-
-    def test_distrib_hooks_respect_site_filter(self):
-        injector = FaultInjector(
-            FaultPlan(
-                faults=(
-                    FaultSpec(kind="steal-lease", site="distrib", at=0),
-                )
-            )
-        )
-        assert not injector.steal_lease("sweep", 0)
-        assert injector.steal_lease("distrib", 0)
 
 
 class TestSourceInjection:

@@ -72,6 +72,8 @@ class TestServeSpec:
             {"max_edges": -1},
             {"nodes": 1},
             {"poll_interval": 0.0},
+            {"source": ["edges.txt"], "follow": True},
+            {"source": 5},
         ],
     )
     def test_validation_rejects_bad_fields(self, changes):

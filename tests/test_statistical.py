@@ -145,7 +145,7 @@ class TestPooledMomentsEndToEnd:
         # Split the S=4 replicate series into unequal groups, summarise
         # each by (count, mean, sample variance), and pool: the merged
         # moments must be exactly the flat series' moments — the same
-        # contract the distributed study path relies on.
+        # contract a study pooled from separately run groups relies on.
         edges, _ = population
         runner = ShardedRunner(edges, shards=4, budget=BUDGET)
         values = [

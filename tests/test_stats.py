@@ -1,4 +1,4 @@
-"""Tests for the statistics substrate (metrics, CIs, HT, moments, delta)."""
+"""Tests for the statistics substrate (metrics, CIs, moments, delta)."""
 
 from __future__ import annotations
 
@@ -11,13 +11,6 @@ from scipy import stats as scipy_stats
 
 from repro.stats.confidence import confidence_interval, inverse_normal_cdf, z_score
 from repro.stats.merge import merge_reports
-from repro.stats.horvitz_thompson import (
-    ht_estimate,
-    ht_single_variance_term,
-    ht_variance_with_replacement,
-    inverse_probability,
-    product_estimate,
-)
 from repro.stats.metrics import (
     absolute_relative_error,
     ci_coverage,
@@ -119,40 +112,6 @@ class TestMetrics:
     def test_ci_coverage_empty(self):
         with pytest.raises(ValueError):
             ci_coverage([], 1.0)
-
-
-class TestHorvitzThompson:
-    def test_inverse_probability(self):
-        assert inverse_probability(0.25) == 4.0
-
-    @pytest.mark.parametrize("p", [0.0, -0.1, 1.5])
-    def test_invalid_probability(self, p):
-        with pytest.raises(ValueError):
-            inverse_probability(p)
-
-    def test_ht_estimate(self):
-        assert ht_estimate([0.5, 0.25]) == pytest.approx(6.0)
-
-    def test_single_variance_term(self):
-        assert ht_single_variance_term(0.5) == pytest.approx(2.0)
-        assert ht_single_variance_term(1.0) == 0.0
-
-    def test_variance_with_replacement(self):
-        assert ht_variance_with_replacement([0.5, 1.0]) == pytest.approx(2.0)
-
-    def test_product_estimate(self):
-        assert product_estimate([0.5, 0.5, 1.0]) == pytest.approx(4.0)
-
-    def test_ht_is_unbiased_bernoulli(self):
-        # Monte-Carlo: estimate a population total of 100 items sampled
-        # independently with p = 0.3 via HT; mean should approach 100.
-        rng = random.Random(0)
-        total = 0.0
-        runs = 3000
-        for _ in range(runs):
-            kept = sum(1 for _ in range(100) if rng.random() < 0.3)
-            total += kept / 0.3
-        assert total / runs == pytest.approx(100.0, rel=0.02)
 
 
 class TestRunningMoments:

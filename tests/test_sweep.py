@@ -1,17 +1,22 @@
 """Tests for the spec-driven sweep subsystem (repro.api.sweep / ground_truth).
 
 Grid expansion edge cases, SweepSpec JSON round trip, ground-truth cache
-hit/miss bit-equivalence, resume behaviour, and equivalence of sweep
-cells against direct ``run(spec)`` passes under shared seeds.
+hit/miss bit-equivalence, resume behaviour (including after a sweep
+that failed mid-grid), the content-addressed store's scans and
+concurrent writers, and equivalence of sweep cells against direct
+``run(spec)`` passes under shared seeds.
 """
 
 from __future__ import annotations
 
 import json
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from repro.api import RunSpec, SweepSpec, run, run_sweep
+from repro.api import execution
 from repro.api.ground_truth import (
     ContentAddressedStore,
     GroundTruthCache,
@@ -19,6 +24,7 @@ from repro.api.ground_truth import (
     source_descriptor,
 )
 from repro.api.sweep import CellKey, cell_report_key
+from repro.faults import FaultInjected, FaultPlan, FaultSpec
 from repro.graph.exact import compute_statistics
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.io import read_edge_list, write_edge_list
@@ -339,6 +345,10 @@ class TestRunSweep:
 
     def test_json_export_parses(self, report):
         payload = json.loads(report.to_json())
+        assert set(payload) == {
+            "spec", "cells", "skipped", "elapsed_seconds", "workers",
+            "cache_dir", "cache", "resilience",
+        }
         assert payload["spec"]["methods"] == ["triest", "gps-in-stream"]
         assert len(payload["cells"]) == 4
         assert payload["cache"]["ground_truth_misses"] == 1
@@ -445,6 +455,140 @@ class TestSweepCacheResume:
         after = run_sweep(spec, cache_dir=cache, resume=True)
         assert after.cell_cache_hits == 0
         assert after.ground_truth_misses == 1
+
+
+def _assert_cells_equal(report, oracle):
+    """Every number a cell carries equals the oracle's."""
+    assert len(report.cells) == len(oracle.cells)
+    for cell, truth in zip(report.cells, oracle.cells):
+        assert cell.key == truth.key
+        assert cell.metrics == truth.metrics
+        assert cell.triangles == truth.triangles
+        assert cell.relative_error == truth.relative_error
+        assert [r.estimates for r in cell.reports] == [
+            r.estimates for r in truth.reports
+        ]
+
+
+class TestDurableReplications:
+    """Each replication is in ``cells/`` the moment it finishes, so a
+    sweep that dies mid-grid resumes by re-executing only the rest."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self, small_spec):
+        return run_sweep(small_spec)
+
+    @staticmethod
+    def _entries(cache):
+        return ContentAddressedStore(cache / "cells").entries()
+
+    def _resume_matches_oracle(self, spec, cache, oracle, present):
+        resumed = run_sweep(spec, cache_dir=cache, resume=True)
+        assert resumed.cell_cache_hits == present
+        assert resumed.cell_cache_misses == 8 - present
+        assert len(self._entries(cache)) == 8
+        _assert_cells_equal(resumed, oracle)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_pooled_failure_keeps_finished_replications(
+        self, small_spec, oracle, tmp_path, k
+    ):
+        cache = tmp_path / "cache"
+        plan = FaultPlan(
+            faults=(FaultSpec(kind="raise-task", site="sweep", at=k),)
+        )
+        pooled = small_spec.replace(workers=2)
+        with pytest.raises(FaultInjected):
+            run_sweep(pooled, cache_dir=cache, faults=plan, retry_budget=0)
+        # Reports land in submission order: exactly the k before the
+        # failed task, whatever later tasks had already finished.
+        assert len(self._entries(cache)) == k
+        self._resume_matches_oracle(pooled, cache, oracle, present=k)
+
+    def test_inline_failure_keeps_exactly_the_finished(
+        self, small_spec, oracle, tmp_path, monkeypatch
+    ):
+        cache = tmp_path / "cache"
+        k = 3
+        calls = []
+        task = execution._run_task
+
+        def failing_task(*args):
+            calls.append(None)
+            if len(calls) == k + 1:
+                raise RuntimeError("task failed")
+            return task(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(execution, "_run_task", failing_task)
+            with pytest.raises(RuntimeError, match="task failed"):
+                run_sweep(small_spec, cache_dir=cache)
+        assert len(self._entries(cache)) == k
+        self._resume_matches_oracle(small_spec, cache, oracle, present=k)
+
+    def test_cold_cells_equal_the_reports_written(
+        self, small_spec, oracle, tmp_path
+    ):
+        cache = tmp_path / "cache"
+        report = run_sweep(small_spec.replace(workers=2), cache_dir=cache)
+        store = ContentAddressedStore(cache / "cells")
+        gt_cache = GroundTruthCache()
+        for cell in report.cells:
+            for run_report in cell.reports:
+                key = cell_report_key(
+                    run_report.spec, False,
+                    gt_cache.key_for(run_report.spec.source),
+                )
+                assert store.read(key) == run_report.to_dict()
+        _assert_cells_equal(report, oracle)
+
+
+def _race_writer(args):
+    root, key, writer = args
+    store = ContentAddressedStore(Path(root))
+    for i in range(25):
+        store.write(key, {"writer": writer, "i": i})
+    return writer
+
+
+class TestStoreScans:
+    def test_entries_ignores_corrupt_and_tmp_siblings(self, tmp_path):
+        store = ContentAddressedStore(tmp_path)
+        store.write("a" * 64, {"x": 1})
+        store.write("b" * 64, {"x": 2})
+        (tmp_path / ("b" * 64 + ".json" + ".corrupt")).write_text("junk")
+        (tmp_path / (".deadbeef-xyz.tmp")).write_text("partial")
+        (tmp_path / ".hidden.json").write_text("{}")
+        names = [path.name for path in store.entries()]
+        assert names == sorted(["a" * 64 + ".json", "b" * 64 + ".json"])
+
+    def test_entries_disabled_store(self):
+        assert ContentAddressedStore(None).entries() == ()
+
+    def test_concurrent_writers_one_durable_valid_entry(self, tmp_path):
+        key = "c" * 64
+        store = ContentAddressedStore(tmp_path)
+        with ProcessPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(_race_writer, (str(tmp_path), key, w))
+                for w in range(4)
+            ]
+            # Concurrent reads must never see a torn entry: every read
+            # is either a miss or a complete envelope payload.
+            torn = 0
+            while not all(future.done() for future in futures):
+                data = store.read(key)
+                if data is not None and "writer" not in data:
+                    torn += 1
+            assert [future.result() for future in futures] == [0, 1, 2, 3]
+        assert torn == 0
+        assert store.quarantined == 0
+        entries = store.entries()
+        assert len(entries) == 1 and entries[0].name == f"{key}.json"
+        final = store.read(key)
+        assert final is not None and final["i"] == 24
+        # No tmp litter left behind by the racing writers.
+        assert [p for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
 
 class TestTrackingSweep:
