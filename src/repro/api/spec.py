@@ -19,6 +19,22 @@ from typing import Any, Dict, Optional
 from repro.core.compact import CORES, DEFAULT_CORE
 
 
+def require_int(name: str, value: Any) -> None:
+    """Reject a non-integer (or bool) value of an integer spec field.
+
+    Checked at construction, because a spec field is used far from
+    where it was written: a quoted seed would silently stream another
+    permutation, and a float budget would fail deep inside a sampler.
+
+    >>> require_int("budget", 50.5)
+    Traceback (most recent call last):
+    ...
+    ValueError: budget must be an integer, got 50.5
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One declarative experiment.
@@ -87,6 +103,10 @@ class RunSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.source, str) or not self.source:
             raise ValueError("source must be a non-empty string")
+        for name in ("budget", "sampler_seed", "checkpoints", "replications"):
+            require_int(name, getattr(self, name))
+        if self.stream_seed is not None:
+            require_int("stream_seed", self.stream_seed)
         if self.core not in CORES:
             raise ValueError(
                 f"core must be one of {CORES}, got {self.core!r}"
@@ -180,4 +200,4 @@ class RunSpec:
         return dataclasses.replace(self, **changes)
 
 
-__all__ = ["RunSpec"]
+__all__ = ["RunSpec", "require_int"]

@@ -61,7 +61,7 @@ from repro.api.ground_truth import (
     GroundTruthCache,
     content_key,
 )
-from repro.api.spec import RunSpec
+from repro.api.spec import RunSpec, require_int
 from repro.core.compact import CORES, DEFAULT_CORE
 from repro.engine.resilient import DEFAULT_RETRY_BUDGET
 from repro.faults.corruption import corrupt_entry
@@ -183,6 +183,10 @@ class SweepSpec:
         for shard_count in self.shards:
             if not isinstance(shard_count, int) or shard_count < 1:
                 raise ValueError("shards must be integers >= 1")
+        for name in (
+            "runs", "checkpoints", "base_stream_seed", "base_sampler_seed"
+        ):
+            require_int(name, getattr(self, name))
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.checkpoints < 0:

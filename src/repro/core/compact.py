@@ -54,6 +54,7 @@ from repro.core.weights import (
 )
 from repro.graph.edge import EdgeKey, Node, canonical_edge
 from repro.heap.slot_heap import SlotMinHeap
+from repro.streams.stream import transplant_mt19937
 
 #: Selectable GPS core implementations (the default comes first).
 CORES = ("compact", "object")
@@ -827,8 +828,9 @@ class CompactGraphPrioritySampler:
         CPython's :class:`random.Random` and numpy's legacy
         ``RandomState`` share both the MT19937 core and the 53-bit
         double construction ``((a >> 5)·2²⁶ + (b >> 6)) / 2⁵³``, so the
-        624-word Mersenne state can be transplanted into numpy, the
-        block drawn in one C call, and the advanced state transplanted
+        624-word Mersenne state can be transplanted into numpy
+        (:func:`~repro.streams.stream.transplant_mt19937`), the block
+        drawn in one C call, and the advanced state transplanted
         back — ``self._rng`` stays the single authoritative generator
         (checkpointing and scalar interludes read it directly) while
         the per-draw Python call disappears.  Below
@@ -839,22 +841,12 @@ class CompactGraphPrioritySampler:
         if n < self._BULK_DRAW_MIN:
             rand = rng.random
             return _np.array([rand() for _ in range(n)], dtype=_np.float64)
-        version, internal, gauss = rng.getstate()
-        mt = self._mt
-        if mt is None:
-            # State is transplanted from self._rng below before any
-            # draw, so the construction-time seed is never observed.
-            mt = self._mt = _np.random.MT19937()  # repro-lint: disable=rng-discipline
+        mt = self._mt = transplant_mt19937(rng, self._mt)
+        if self._mt_rs is None:
             self._mt_rs = _np.random.RandomState(mt)
-        mt.state = {
-            "bit_generator": "MT19937",
-            "state": {
-                "key": _np.asarray(internal[:-1], dtype=_np.uint32),
-                "pos": internal[-1],
-            },
-        }
         out = self._mt_rs.random_sample(n)
         advanced = mt.state["state"]
+        version, _, gauss = rng.getstate()
         rng.setstate((
             version,
             tuple(advanced["key"].tolist()) + (int(advanced["pos"]),),

@@ -517,6 +517,12 @@ class SamplingService:
         estimator = LocalTriangleEstimator(snapshot)
         triangles = estimator.node_triangles()
         wedges = estimator.node_wedges()
+        interner = getattr(self._source, "interner", None)
+        if interner is not None:
+            # The sampler ran on dense ids; answer in the source's labels.
+            label = interner.label
+            triangles = {label(n): value for n, value in triangles.items()}
+            wedges = {label(n): value for n, value in wedges.items()}
         head = self._head(op, snapshot)
         node = request.get("node")
         if node is not None:

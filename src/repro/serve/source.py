@@ -58,6 +58,7 @@ from repro.faults.injector import FaultInjector, inject_source_faults
 from repro.graph.io import edge_tokens
 from repro.serve.spec import SYNTHETIC_SOURCE, TCP_PREFIX, ServeSpec
 from repro.streams.chunks import DEFAULT_CHUNK_SIZE
+from repro.streams.interner import NodeInterner
 
 #: One columnar ingestion block.
 Block = Tuple[np.ndarray, np.ndarray]
@@ -183,7 +184,10 @@ class ResolvedSource:
     Resolution and permutation defer to the same helpers the batch
     ``run()`` path uses, so a service over a finite resolved source
     ends in exactly the arrival order a :class:`~repro.api.RunSpec`
-    with the same ``source``/``stream_seed`` would replay.
+    with the same ``source``/``stream_seed`` would replay.  A
+    population with labels outside int32 (say a file holding id 2**31)
+    is interned to dense ids in arrival order; :attr:`interner` then
+    maps them back, so answers can speak in the file's labels.
     """
 
     columnar = True
@@ -202,16 +206,23 @@ class ResolvedSource:
         self._chunk_size = chunk_size
         self._max_edges = max_edges
         self._faults = faults
+        #: Dense id ↔ label map of an interned population, else None.
+        self.interner: Optional[NodeInterner] = None
 
     def __iter__(self) -> Iterator[Block]:
         # Lazy import: execution pulls the dataset registry.
         from repro.api.execution import _resolve_edges
 
         population = _resolve_edges(self._source, None)
-        stream = population.permuted(self._stream_seed, columns=True)
+        columnar = population.columnar() is not None
+        stream = population.permuted(self._stream_seed, columns=columnar)
+        if not columnar and self.interner is None:
+            # Kept across passes: a restarted pump re-interns the same
+            # arrival order, which hands out the same ids again.
+            self.interner = NodeInterner()
+        blocks = stream.chunks(self._chunk_size, self.interner)
         return _limit_blocks(
-            _with_faults(stream.chunks(self._chunk_size), self._faults, 0.01),
-            self._max_edges,
+            _with_faults(blocks, self._faults, 0.01), self._max_edges
         )
 
 

@@ -18,6 +18,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Optional
 
+from repro.api.spec import require_int
 from repro.streams.chunks import DEFAULT_CHUNK_SIZE
 
 #: Reserved source name for the seeded synthetic edge generator (the
@@ -112,6 +113,10 @@ class ServeSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.source, str) or not self.source:
             raise ValueError("source must be a non-empty string")
+        for name in ("budget", "sampler_seed"):
+            require_int(name, getattr(self, name))
+        if self.stream_seed is not None:
+            require_int("stream_seed", self.stream_seed)
         if self.budget <= 0:
             raise ValueError("budget must be positive")
         if self.chunk_size <= 0:

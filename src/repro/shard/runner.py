@@ -4,12 +4,14 @@ One sharded pass is:
 
 1. **permute** — the stream permutation seeded exactly like every other
    entry point (:meth:`~repro.streams.stream.EdgeStream.permuted`: int32
-   columns on the chunked drive, tuples on the scalar one, the same
-   arrival order either way);
+   columns whenever the population holds them, tuples otherwise, the
+   same arrival order either way);
 2. **route** — the seeded splitmix64 edge hash
    (:mod:`repro.shard.router`) assigns every canonical edge to one of
-   ``S`` shards; boolean-mask selection keeps each substream in arrival
-   order;
+   ``S`` shards; boolean-mask selection over the columns keeps each
+   substream in arrival order, whatever the drive.  Only a tuple
+   population (labels outside int32, or columns never built) takes the
+   per-edge :func:`~repro.shard.router.split_stream`;
 3. **drive** — each shard's substream runs through its own
    :class:`~repro.engine.stream_engine.StreamEngine` over a GPS sampler
    with budget ``m/S`` and its own seed (``sampler_seed·S + s``, so
@@ -235,10 +237,13 @@ class ShardedRunner:
         chunk_size = execution.chunk_size_for(
             method, self._weight_fn, counters[0], self._population
         )
-        stream = self._population.permuted(
-            stream_seed, columns=chunk_size is not None
-        )
-        if chunk_size is not None:
+        # Route on columns whenever the population holds them (every
+        # int32 file does), whatever the drive: a scalar shard pass
+        # iterates its substream's tuple view.  A tuple population is
+        # never converted just to be routed.
+        columnar = self._population.has_columns
+        stream = self._population.permuted(stream_seed, columns=columnar)
+        if columnar:
             us, vs = stream.columnar()
             ids = shard_columns(us, vs, self._shards, self._router_seed)
             substreams = [

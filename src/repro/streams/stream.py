@@ -13,10 +13,15 @@ shared-memory fan-out produce).  Each view is built from the other on
 first use and cached, so a column-backed stream feeds the chunked engine
 without a tuple ever existing, and a scalar pass pays for its tuples
 once per stream.
+
+Every seeded arrival order is :func:`shuffled_indices`: the index array
+of ``random.Random(seed).shuffle(list(range(n)))``, replayed bit for bit
+in NumPy rather than by CPython's per-element loop.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -26,6 +31,174 @@ from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.edge import Node
 from repro.streams.chunks import DEFAULT_CHUNK_SIZE, columnar_or_none
 from repro.streams.interner import NodeInterner
+
+#: Bounds below this are drawn by a plain per-step loop: there a block's
+#: words are nearly all ambiguous and its fixed point converges slowly.
+_LOOP_BOUND = 1 << 10
+#: Upper limit on the raw words drawn per block (memory stays bounded).
+_BLOCK_WORDS = 1 << 16
+#: From here on the reference shuffle runs: indices leave int32, and
+#: CPython draws bounds above 2**32 from two words.
+_INDEX_LIMIT = 1 << 31
+#: The first-use self-check's size: large enough that the replica's
+#: block draws cross two powers of two before its plain loop starts.
+_CHECK_N = 5000
+
+
+def transplant_mt19937(
+    rng: random.Random, into: Optional[np.random.MT19937] = None
+) -> np.random.MT19937:
+    """A numpy ``MT19937`` holding ``rng``'s exact Mersenne state.
+
+    CPython's :class:`random.Random` and numpy's ``MT19937`` run the
+    same 624-word generator, so after the state is copied across the
+    bit generator's raw words are the ones ``rng.getrandbits(32)`` would
+    return next, and a ``RandomState`` over it draws the doubles
+    ``rng.random()`` would.  ``into`` reuses an existing bit generator.
+    ``rng`` itself is not advanced.
+    """
+    internal = rng.getstate()[1]
+    mt = into
+    if mt is None:
+        # The state is overwritten below before any draw, so the
+        # construction-time seed is never observed.
+        mt = np.random.MT19937()  # repro-lint: disable=rng-discipline
+    mt.state = {
+        "bit_generator": "MT19937",
+        "state": {
+            "key": np.asarray(internal[:-1], dtype=np.uint32),
+            "pos": internal[-1],
+        },
+    }
+    return mt
+
+
+def _shuffle_draws(n: int, mt: np.random.MT19937) -> np.ndarray:
+    """The swap partners ``random.Random.shuffle`` draws for ``n`` items.
+
+    Entry ``t`` is the ``j`` of step ``t``, which swaps positions
+    ``n - 1 - t`` and ``j`` after drawing ``j`` below the bound
+    ``n - t``.  CPython draws each ``j`` from 32-bit words: with
+    ``k = bound.bit_length()`` a word gives ``word >> (32 - k)``, and
+    the word is rejected while that is ``>= bound``.
+
+    Words come in blocks short enough that ``k`` stays fixed across the
+    block.  Word ``p`` of a block is accepted iff fewer than
+    ``bound - value[p]`` words before it were, so the accepted set is
+    the fixed point of the block's running accept count.  It is unique,
+    because word ``p`` depends only on the words before it, and each
+    pass of the iteration below fixes at least one more word of the
+    prefix.  A block holds at most an eighth of its bound, so few words
+    are ambiguous and a handful of passes settle it.
+    """
+    draws = np.empty(max(n - 1, 0), dtype=np.int32)
+    t = 0
+    while n - t >= _LOOP_BOUND:
+        bound = n - t
+        k = bound.bit_length()
+        # Bounds fall by one per accepted word, so a block of `size`
+        # words stays within [bound - size + 1, bound]: k bits each.
+        size = min(bound >> 3, bound - (1 << (k - 1)) + 1, _BLOCK_WORDS)
+        values = (mt.random_raw(size) >> np.uint64(32 - k)).astype(np.int64)
+        room = bound - values
+        accepted = room > 0
+        while True:
+            before = np.cumsum(accepted)
+            before -= accepted
+            settled = before < room
+            if np.array_equal(settled, accepted):
+                break
+            accepted = settled
+        taken = values[accepted]
+        draws[t:t + len(taken)] = taken
+        t += len(taken)
+    words = _raw_words(mt)
+    for step in range(t, n - 1):
+        bound = n - step
+        shift = 32 - bound.bit_length()
+        j = next(words) >> shift
+        while j >= bound:
+            j = next(words) >> shift
+        draws[step] = j
+    return draws
+
+
+def _raw_words(mt: np.random.MT19937) -> Iterator[int]:
+    """``mt``'s raw 32-bit words as Python ints, drawn 1024 at a time."""
+    while True:
+        yield from mt.random_raw(1024).tolist()
+
+
+def _apply_transpositions(n: int, draws: np.ndarray) -> np.ndarray:
+    """``list(range(n))`` after the swaps ``draws`` lists, as int32.
+
+    Applied in rounds of deterministic reservations, the parallel Knuth
+    shuffle of Shun, Gu, Blelloch, Fineman and Gibbons (SODA 2015).
+    Step ``i`` (swapping ``i`` and ``j_i``) must follow every earlier,
+    larger step that touches either position.  Each round, every
+    remaining step reserves both its positions with priority ``i``
+    (a max-scatter) and commits when it holds both.  Those steps touch
+    disjoint positions and have nothing left to wait for, so they swap
+    together.  The rounds number O(log n) with high probability.
+    """
+    index = np.arange(n, dtype=np.int32)
+    i = np.arange(n - 1, 0, -1, dtype=np.int32)
+    moving = i != draws  # a step with j_i == i swaps nothing
+    i, j = i[moving], draws[moving]
+    owner = np.full(n, -1, dtype=np.int32)
+    while len(i):
+        # Position i is step i's own and, being the lowest priority
+        # there, is taken by any larger step that also targets it.
+        owner[i] = i
+        np.maximum.at(owner, j, i)
+        ready = (owner[i] == i) & (owner[j] == i)
+        ri, rj = i[ready], j[ready]
+        index[ri], index[rj] = index[rj], index[ri]
+        # A committed step's own position is never touched again, so
+        # only the targets need clearing before the next round.
+        owner[j] = -1
+        waiting = ~ready
+        i, j = i[waiting], j[waiting]
+    return index
+
+
+def _replica(n: int, seed: int) -> np.ndarray:
+    """The vectorised replay of ``random.Random(seed).shuffle``."""
+    mt = transplant_mt19937(random.Random(seed))
+    return _apply_transpositions(n, _shuffle_draws(n, mt))
+
+
+@functools.lru_cache(maxsize=None)
+def _replica_agrees() -> bool:
+    """Whether the replica equals this interpreter's ``shuffle``.
+
+    Checked once, on first use: CPython promises stable seeding and
+    ``random()``, not ``shuffle``, so an interpreter whose shuffle draws
+    differently sends every permutation to the reference loop.
+    """
+    order = list(range(_CHECK_N))
+    random.Random(0).shuffle(order)
+    return _replica(_CHECK_N, 0).tolist() == order
+
+
+def shuffled_indices(n: int, seed: int) -> np.ndarray:
+    """The index array of ``random.Random(seed).shuffle(list(range(n)))``.
+
+    Bit for bit, for any seed ``random.Random`` accepts.  The vectorised
+    replica answers when its first-use self-check agrees with this
+    interpreter's ``shuffle`` and ``n < 2**31`` (int32 indices);
+    anything else runs the reference loop itself.
+
+    >>> order = list(range(10))
+    >>> random.Random(3).shuffle(order)
+    >>> shuffled_indices(10, 3).tolist() == order
+    True
+    """
+    if n < _INDEX_LIMIT and _replica_agrees():
+        return _replica(n, seed)
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    return np.fromiter(order, dtype=np.intp, count=n)
 
 
 class EdgeStream:
@@ -57,12 +230,11 @@ class EdgeStream:
     ) -> "EdgeStream":
         """Random permutation of ``graph``'s edge set (paper Sec. 6 setup).
 
-        The permutation is drawn from ``random.Random(seed)``; the same
-        seed always yields the same arrival order.
+        The canonical order under :meth:`permuted`: the same seed always
+        yields the same arrival order, and ``seed=None`` keeps the
+        canonical order.
         """
-        edges = cls.canonical_edges(graph)
-        random.Random(seed).shuffle(edges)
-        return cls(edges)
+        return cls(cls.canonical_edges(graph)).permuted(seed)
 
     @classmethod
     def from_edges(cls, edges: Iterable[Tuple[Node, Node]]) -> "EdgeStream":
@@ -120,14 +292,15 @@ class EdgeStream:
     ) -> "EdgeStream":
         """The seeded arrival permutation of this stream.
 
-        ``random.Random(seed).shuffle`` runs on an index list, then the
-        edges are gathered.  Fisher–Yates swaps are value-blind, so this
-        draws exactly what shuffling the edges themselves would and the
-        order is the one every entry point shares.  ``columns=True``
-        gathers the int32 columns (for the chunked engine, which never
-        needs a tuple); otherwise the cached tuple view is gathered, so
-        repeated scalar passes over one population build it once.
-        ``seed=None`` keeps the order and returns this stream.
+        The edges are gathered through :func:`shuffled_indices`, the
+        index order of ``random.Random(seed).shuffle``.  Fisher–Yates
+        swaps are value-blind, so this is exactly what shuffling the
+        edges themselves gives, and the order is the one every entry
+        point shares.  ``columns=True`` gathers the int32 columns (for
+        the chunked engine, which never needs a tuple); otherwise the
+        cached tuple view is gathered, so repeated scalar passes over
+        one population build it once.  ``seed=None`` keeps the order and
+        returns this stream.
 
         >>> stream = EdgeStream([(0, 1), (1, 2), (2, 3)])
         >>> order = list(stream)
@@ -137,14 +310,12 @@ class EdgeStream:
         """
         if seed is None:
             return self
-        order = list(range(len(self)))
-        random.Random(seed).shuffle(order)
+        index = shuffled_indices(len(self), seed)
         if columns:
             us, vs = self._require_columns()
-            index = np.fromiter(order, dtype=np.intp, count=len(order))
             return EdgeStream.from_columns(us[index], vs[index])
         edges = self._pairs()
-        return EdgeStream([edges[i] for i in order])
+        return EdgeStream([edges[i] for i in index.tolist()])
 
     # ------------------------------------------------------------------
     # Columnar (chunked) access

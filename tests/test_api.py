@@ -134,6 +134,15 @@ class TestRunSpec:
             # overflows for a budget beyond float range.
             {"source": "x", "budget": 10**400, "shards": 1.5},
             {"source": "x", "budget": 8, "shards": 2.0},
+            # Integer fields are checked by type: a quoted seed would
+            # stream another permutation, a float budget fail later.
+            {"source": "x", "stream_seed": "7"},
+            {"source": "x", "stream_seed": True},
+            {"source": "x", "sampler_seed": 1.0},
+            {"source": "x", "budget": 50.5},
+            {"source": "x", "budget": True},
+            {"source": "x", "checkpoints": 1.5},
+            {"source": "x", "replications": 2.0},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.graph.io as io_module
+import repro.streams.stream as stream_module
 from repro.api import RunSpec, run
 from repro.api.registry import method_specs, weight_names
 from repro.cli import main
@@ -257,12 +258,26 @@ def test_malformed_line_error_names_path_and_line(tmp_path):
 # ----------------------------------------------------------------------
 # The index permutation
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 17, 64])
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def _shuffled(n, seed):
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    return order
+
+
+# Small sizes stay in the replica's plain loop; 2**k - 1, 2**k and
+# 2**k + 1 sit around its loop cut (2**10), a power of two its block
+# draws cross (2**11) and its block-word cap (2**16).
+@pytest.mark.parametrize(
+    "n",
+    [0, 1, 2, 3, 5, 17, 64, 1023, 1024, 1025, 2047, 2048, 2049, 4097,
+     65535, 65536, 65537, 131073, 200000],
+)
+@pytest.mark.parametrize("seed", [0, 1, 7, -5, 2**40 + 3])
 def test_index_shuffle_equals_tuple_shuffle(n, seed):
+    # The replica answers here, not the fail-safe reference loop.
+    assert stream_module._replica_agrees()
     edges = [(i, (7 * i + 3) % 101) for i in range(n)]
-    expected = list(edges)
-    random.Random(seed).shuffle(expected)
+    expected = [edges[i] for i in _shuffled(n, seed)]
     assert list(EdgeStream(edges).permuted(seed)) == expected
     columns = EdgeStream.from_columns(
         np.array([u for u, _ in edges], dtype=np.int32),
@@ -270,6 +285,61 @@ def test_index_shuffle_equals_tuple_shuffle(n, seed):
     )
     for as_columns in (True, False):
         assert list(columns.permuted(seed, columns=as_columns)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 5000), seed=st.integers())
+def test_replica_equals_shuffle_for_any_seed(n, seed):
+    assert stream_module._replica(n, seed).tolist() == _shuffled(n, seed)
+
+
+@pytest.mark.parametrize("words", [1, 100])
+def test_replica_exact_whatever_the_block_cap(monkeypatch, words):
+    """Blocks only batch the draws: any cap gives the same words."""
+    monkeypatch.setattr(stream_module, "_BLOCK_WORDS", words)
+    for n in (4095, 4096, 4097):
+        assert stream_module._replica(n, 3).tolist() == _shuffled(n, 3)
+
+
+@pytest.fixture
+def fresh_self_check():
+    """Run the replica's first-use self-check again, here and after."""
+    stream_module._replica_agrees.cache_clear()
+    yield stream_module._replica_agrees
+    stream_module._replica_agrees.cache_clear()
+
+
+def test_wrong_replica_fails_safe(monkeypatch, fresh_self_check):
+    monkeypatch.setattr(
+        stream_module, "_replica",
+        lambda n, seed: np.arange(n, dtype=np.int32),
+    )
+    assert not fresh_self_check()
+    edges = [(i, (3 * i + 1) % 53) for i in range(2000)]
+    expected = [edges[i] for i in _shuffled(len(edges), 9)]
+    stream = EdgeStream(edges)
+    assert list(stream.permuted(9)) == expected
+    assert list(stream.permuted(9, columns=True)) == expected
+
+
+def test_sizes_past_int32_take_the_reference(monkeypatch, fresh_self_check):
+    assert fresh_self_check()
+
+    def refuse(n, seed):
+        raise AssertionError("replica ran past the index limit")
+
+    monkeypatch.setattr(stream_module, "_INDEX_LIMIT", 100)
+    monkeypatch.setattr(stream_module, "_replica", refuse)
+    assert stream_module.shuffled_indices(150, 4).tolist() == _shuffled(150, 4)
+
+
+def test_from_graph_permutes_the_canonical_order():
+    graph = powerlaw_cluster(60, 3, 0.5, seed=4)
+    canonical = EdgeStream.canonical_edges(graph)
+    for seed in (0, 5):
+        expected = [canonical[i] for i in _shuffled(len(canonical), seed)]
+        assert list(EdgeStream.from_graph(graph, seed)) == expected
+    assert list(EdgeStream.from_graph(graph, None)) == canonical
 
 
 def test_unseeded_permutation_keeps_the_stream():

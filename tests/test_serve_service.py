@@ -41,6 +41,23 @@ def graph_file(tmp_path_factory):
     return str(path)
 
 
+#: Added to every id of the wide file: each label leaves int32.
+WIDE_SHIFT = 2**31
+
+
+@pytest.fixture(scope="module")
+def shifted_files(tmp_path_factory):
+    """One graph as two files: its own ids, and every id plus 2**31."""
+    directory = tmp_path_factory.mktemp("wide")
+    edges = sorted(powerlaw_cluster(400, 4, 0.5, seed=3).edges())
+    narrow, wide = directory / "narrow.txt", directory / "wide.txt"
+    narrow.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    wide.write_text(
+        "".join(f"{u + WIDE_SHIFT} {v + WIDE_SHIFT}\n" for u, v in edges)
+    )
+    return str(narrow), str(wide)
+
+
 # ----------------------------------------------------------------------
 # ServeSpec
 # ----------------------------------------------------------------------
@@ -74,6 +91,10 @@ class TestServeSpec:
             {"poll_interval": 0.0},
             {"source": ["edges.txt"], "follow": True},
             {"source": 5},
+            {"stream_seed": "7"},
+            {"sampler_seed": 2.5},
+            {"budget": 50.5},
+            {"budget": True},
         ],
     )
     def test_validation_rejects_bad_fields(self, changes):
@@ -237,6 +258,44 @@ class TestService:
             weight="uniform", stream_seed=11, sampler_seed=5,
         ))
         assert served["estimates"] == _estimates_dict(report.post_stream)
+
+    @pytest.mark.parametrize("stream_seed", [7, None])
+    @pytest.mark.parametrize(
+        "method, weight, bundle",
+        [
+            ("gps", None, "in_stream"),
+            ("gps-post", "uniform", "post_stream"),
+            ("gps-post", "triangle", "post_stream"),
+        ],
+    )
+    def test_ids_outside_int32_are_interned(
+        self, shifted_files, method, weight, bundle, stream_seed
+    ):
+        """The sampler runs on dense ids, yet estimates equal the batch
+        run over the file and local answers come in the file's labels."""
+        narrow, wide = shifted_files
+        fields = dict(method=method, budget=120, weight=weight,
+                      stream_seed=stream_seed, sampler_seed=5)
+        service = _drained(ServeSpec(source=wide, chunk_size=97, **fields))
+        assert service.status()["errors"] == []
+        report = run(RunSpec(source=wide, **fields))
+        assert service.query({"op": "estimates"})["estimates"] == (
+            _estimates_dict(getattr(report, bundle))
+        )
+        local = service.query({"op": "local"})
+        reference = _drained(
+            ServeSpec(source=narrow, chunk_size=97, **fields)
+        ).query({"op": "local"})
+        for field in ("triangles", "wedges"):
+            assert min(local[field]) >= WIDE_SHIFT
+            assert {
+                node - WIDE_SHIFT: value
+                for node, value in local[field].items()
+            } == reference[field]
+        node = max(local["wedges"], key=local["wedges"].get)
+        single = service.query({"op": "local", "node": node})
+        assert single["wedges"] == local["wedges"][node] > 0
+        assert single["triangles"] == local["triangles"][node]
 
     def test_epoch_one_is_queryable_before_any_ingestion(self):
         spec = ServeSpec(source="synthetic", budget=50, max_edges=1000)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,7 @@ from repro.shard.runner import (
     validate_shardable_method,
 )
 from repro.shard.spec import ShardSpec
+from repro.streams.stream import EdgeStream
 
 np = pytest.importorskip("numpy")
 
@@ -50,9 +52,41 @@ SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 def edges():
     """A small heavy-tailed population with int labels."""
     graph = chung_lu(600, 3000, exponent=2.2, seed=5)
-    from repro.streams.stream import EdgeStream
-
     return EdgeStream.canonical_edges(graph)
+
+
+def _sharded_reference(edges, *, shards, budget, stream_seed, sampler_seed):
+    """A default-weight sharded pass rebuilt from its parts: a tuple
+    shuffle, ``split_stream``, one scalar engine drive per shard and
+    ``merge_estimates``."""
+    from repro.api.registry import get_method
+    from repro.core.reservoir import snapshot_view
+    from repro.stats.merge import merge_estimates
+
+    order = list(edges)
+    random.Random(stream_seed).shuffle(order)
+    samples = []
+    for s, substream in enumerate(split_stream(order, shards)):
+        counter = get_method("gps-post").make(
+            budget // shards, 0, sampler_seed * shards + s
+        )
+        StreamEngine(counter).run(substream)
+        sampler = counter.sampler
+        samples.append([
+            (record.u, record.v,
+             record.inclusion_probability(sampler.threshold))
+            for record in snapshot_view(sampler.sample).records()
+        ])
+    return merge_estimates(samples)
+
+
+def _assert_merged(result, merged):
+    estimates = result.estimates
+    assert estimates.triangles.value == merged.triangle_count
+    assert estimates.triangles.variance == merged.triangle_variance
+    assert estimates.wedges.value == merged.wedge_count
+    assert estimates.wedges.variance == merged.wedge_variance
+    assert estimates.sample_size == merged.sample_size
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +316,47 @@ class TestShardedRunner:
         assert run(spec, graph=edges).pipeline == "scalar"
         result = ShardedRunner(edges, shards=2, budget=200).run()
         assert result.pipeline == "scalar"
+
+    def test_column_population_routes_on_columns_on_the_scalar_drive(
+        self, edges, monkeypatch
+    ):
+        """A triangle-weight pass drives scalar, yet a column-backed
+        population is routed by shard_columns, bit-identically."""
+        import repro.shard.runner as runner_module
+
+        expected = _sharded_reference(edges, shards=4, budget=400,
+                                      stream_seed=3, sampler_seed=11)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("split_stream routed an int32 population")
+
+        monkeypatch.setattr(runner_module, "split_stream", refuse)
+        population = EdgeStream.from_columns(
+            np.array([u for u, _ in edges], dtype=np.int32),
+            np.array([v for _, v in edges], dtype=np.int32),
+        )
+        result = ShardedRunner(population, shards=4, budget=400,
+                               stream_seed=3, sampler_seed=11).run()
+        assert result.pipeline == "scalar"
+        _assert_merged(result, expected)
+
+    def test_labels_outside_int32_route_per_edge(self, edges, monkeypatch):
+        import repro.shard.runner as runner_module
+
+        wide = list(edges) + [(0, 2**31)]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return split_stream(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "split_stream", counted)
+        result = ShardedRunner(wide, shards=4, budget=400,
+                               stream_seed=3, sampler_seed=11).run()
+        assert len(calls) == 1
+        _assert_merged(result, _sharded_reference(
+            wide, shards=4, budget=400, stream_seed=3, sampler_seed=11
+        ))
 
     def test_seed_overrides_change_the_pass(self, edges):
         runner = ShardedRunner(edges, shards=2, budget=200)

@@ -69,6 +69,20 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="runs"):
             SweepSpec(sources=("a.txt",), runs=0)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"runs": 2.0},
+            {"runs": True},
+            {"checkpoints": 1.5},
+            {"base_stream_seed": "3"},
+            {"base_sampler_seed": None},
+        ],
+    )
+    def test_non_integer_fields_rejected(self, changes):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SweepSpec(sources=("a.txt",), **changes)
+
     def test_bad_budget_policy_rejected(self):
         with pytest.raises(ValueError, match="budget_policy"):
             SweepSpec(sources=("a.txt",), budget_policy="explode")
