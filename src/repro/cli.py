@@ -66,6 +66,7 @@ from typing import Optional, Sequence
 
 from repro.api.execution import replicate as run_replicated
 from repro.api.execution import run
+from repro.api.ground_truth import file_statistics
 from repro.api.registry import (
     get_weight,
     method_names,
@@ -85,7 +86,6 @@ from repro.core.motifs import MotifCensusEstimator
 from repro.core.post_stream import PostStreamEstimator
 from repro.core.subgraphs import CliqueEstimator, StarEstimator
 from repro.experiments import figure1, figure2, figure3, table1, table2, table3
-from repro.graph.exact import compute_statistics
 from repro.graph.io import EdgeListError, read_edge_list
 from repro.graph.motifs import count_motifs
 
@@ -383,14 +383,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 # Command handlers
 # ----------------------------------------------------------------------
 def _cmd_stats(args) -> int:
-    graph = read_edge_list(args.path)
-    stats = compute_statistics(graph)
+    stats = file_statistics(args.path)
     print(f"nodes      {stats.num_nodes}")
     print(f"edges      {stats.num_edges}")
     print(f"triangles  {stats.triangles}")
     print(f"wedges     {stats.wedges}")
     print(f"clustering {stats.clustering:.6f}")
     if args.motifs:
+        graph = read_edge_list(args.path)
         for name, count in count_motifs(graph).as_dict().items():
             print(f"{name:<16} {count}")
     return 0

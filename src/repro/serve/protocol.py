@@ -32,7 +32,8 @@ def handle_line(service: SamplingService, line: str) -> Dict[str, Any]:
         return {"ok": False, "error": "empty request line"}
     try:
         request = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack.
         return {"ok": False, "error": f"bad JSON: {exc}"}
     return service.query(request)
 

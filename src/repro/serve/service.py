@@ -47,8 +47,8 @@ from repro.serve.snapshot import SampleSnapshot, SnapshotStore
 from repro.serve.source import make_source
 from repro.serve.spec import ServeSpec
 
-#: Ops answered without a published snapshot (everything else reads one).
-_SNAPSHOT_FREE_OPS = ("ping", "spec", "status", "wait", "drain", "shutdown")
+#: Ops answered from a published snapshot, pinned by ``epoch`` or latest.
+_SNAPSHOT_OPS = ("estimates", "occupancy", "local", "motifs")
 
 
 class _QueueStream:
@@ -356,6 +356,8 @@ class SamplingService:
         except Exception as exc:  # noqa: BLE001 - surfaced via join()
             self._errors.append(f"drive: {exc!r}")
         finally:
+            # No epoch follows: waits for a later one answer at once.
+            self._store.close()
             # Queries answer from the published snapshots, so a finished
             # drive's sampler is dead weight for as long as a caller
             # keeps the service (its final answers, its status).
@@ -441,17 +443,9 @@ class SamplingService:
             return {"ok": True, "op": op, "status": self.status()}
         if op == "wait":
             target = int(request.get("epoch", self._store.epoch + 1))
-            timeout = request.get("timeout")
-            snapshot = self._store.wait_for(
-                target, None if timeout is None else float(timeout)
-            )
+            snapshot = self._wait(target, request)
             if snapshot is None:
-                return {
-                    "ok": False,
-                    "op": op,
-                    "error": f"timed out waiting for epoch {target}",
-                    "epoch": self._store.epoch,
-                }
+                return self._unreached(op, target)
             return self._head(op, snapshot)
         if op == "drain":
             self.stop(drain=True)
@@ -460,9 +454,24 @@ class SamplingService:
             self.stop(drain=False)
             return {"ok": True, "op": op, "status": self.status()}
 
-        snapshot = self._snapshot_for(request)
-        if snapshot is None:
-            return {"ok": False, "op": op, "error": "no snapshot published"}
+        if op not in _SNAPSHOT_OPS:
+            return {
+                "ok": False,
+                "op": op,
+                "error": f"unknown op {op!r}; known ops: ping, spec, "
+                "status, wait, estimates, occupancy, local, motifs, "
+                "drain, shutdown",
+            }
+        epoch = request.get("epoch")
+        if epoch is None:
+            snapshot = self._store.latest()
+            if snapshot is None:
+                return {"ok": False, "op": op,
+                        "error": "no snapshot published"}
+        else:
+            snapshot = self._wait(int(epoch), request)
+            if snapshot is None:
+                return self._unreached(op, int(epoch))
         if op == "estimates":
             from repro.api.execution import _estimates_dict
 
@@ -475,25 +484,24 @@ class SamplingService:
             return head
         if op == "local":
             return self._local(op, snapshot, request)
-        if op == "motifs":
-            return self._motifs(op, snapshot)
-        return {
-            "ok": False,
-            "op": op,
-            "error": f"unknown op {op!r}; known ops: ping, spec, status, "
-            "wait, estimates, occupancy, local, motifs, drain, shutdown",
-        }
+        return self._motifs(op, snapshot)
 
-    def _snapshot_for(
-        self, request: Dict[str, Any]
+    def _wait(
+        self, target: int, request: Dict[str, Any]
     ) -> Optional[SampleSnapshot]:
-        epoch = request.get("epoch")
-        if epoch is None:
-            return self._store.latest()
         timeout = request.get("timeout")
         return self._store.wait_for(
-            int(epoch), None if timeout is None else float(timeout)
+            target, None if timeout is None else float(timeout)
         )
+
+    def _unreached(self, op: str, target: int) -> Dict[str, Any]:
+        """The answer for an epoch that did not come, and why."""
+        stopped = self._store.closed  # read first: then epoch is final
+        epoch = self._store.epoch
+        error = f"timed out waiting for epoch {target}"
+        if stopped:
+            error += f": the service stopped at epoch {epoch}"
+        return {"ok": False, "op": op, "error": error, "epoch": epoch}
 
     @staticmethod
     def _head(op: str, snapshot: SampleSnapshot) -> Dict[str, Any]:

@@ -194,7 +194,8 @@ class SnapshotStore:
     under the condition lock (readers holding the previous snapshot are
     unaffected — snapshots are immutable).  ``wait_for`` blocks until a
     target epoch is visible, giving tests and the ``wait`` query op a
-    race-free ordering primitive.
+    race-free ordering primitive; ``close`` ends every such wait once
+    the publisher is done.
 
     Buffer recycling: ``take_buffer`` hands the publisher a previously
     retired :class:`SlotArrays` arena when one is available, and a
@@ -207,6 +208,7 @@ class SnapshotStore:
         self._cond = threading.Condition()
         self._latest: Optional[SampleSnapshot] = None
         self._epoch = 0
+        self._closed = False
         self._free: List[SlotArrays] = []
         self._max_buffers = max_buffers
 
@@ -214,6 +216,18 @@ class SnapshotStore:
     def epoch(self) -> int:
         with self._cond:
             return self._epoch
+
+    @property
+    def closed(self) -> bool:
+        """True once the publisher has published its last epoch."""
+        with self._cond:
+            return self._closed
+
+    def close(self) -> None:
+        """Publish no more: wake every waiter for an epoch not yet seen."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
 
     def take_buffer(self) -> Optional[SlotArrays]:
         """A retired arena for the next capture, when one is free."""
@@ -242,13 +256,16 @@ class SnapshotStore:
     def wait_for(
         self, epoch: int, timeout: Optional[float] = None
     ) -> Optional[SampleSnapshot]:
-        """Block until epoch ≥ ``epoch`` is published; latest or None."""
+        """Block until epoch ≥ ``epoch`` is published; latest or None.
+
+        ``None`` means the timeout passed first, or the store closed
+        short of ``epoch``, which then never comes.
+        """
         with self._cond:
-            if self._cond.wait_for(
-                lambda: self._epoch >= epoch, timeout=timeout
-            ):
-                return self._latest
-            return None
+            self._cond.wait_for(
+                lambda: self._epoch >= epoch or self._closed, timeout=timeout
+            )
+            return self._latest if self._epoch >= epoch else None
 
 
 __all__ = ["SampleSnapshot", "SnapshotStore"]

@@ -25,6 +25,7 @@ import repro.api.sweep
 import repro.core.compact
 import repro.core.weights
 import repro.engine.shared_edges
+import repro.graph.exact
 import repro.graph.io
 import repro.heap.slot_heap
 import repro.serve.source
@@ -46,6 +47,7 @@ MODULES = [
     repro.core.compact,
     repro.core.weights,
     repro.engine.shared_edges,
+    repro.graph.exact,
     repro.graph.io,
     repro.heap.slot_heap,
     repro.serve.source,

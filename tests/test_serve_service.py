@@ -14,9 +14,12 @@ import json
 import socket
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.execution import _estimates_dict, run
 from repro.api.spec import RunSpec
@@ -439,6 +442,135 @@ class TestQueries:
         assert [a["op"] for a in answers] == ["ping", "drain"]
         assert all(a["ok"] for a in answers)
         assert not service.running
+
+
+def within(seconds, fn, *args):
+    """``fn(*args)``, raising TimeoutError (not hanging) past ``seconds``."""
+    answer = Future()
+
+    def call():
+        try:
+            answer.set_result(fn(*args))
+        except BaseException as exc:  # re-raised by result() below
+            answer.set_exception(exc)
+
+    threading.Thread(target=call, daemon=True).start()
+    return answer.result(timeout=seconds)
+
+
+@pytest.fixture(scope="class")
+def live_service():
+    """An unbounded synthetic service that keeps ingesting until aborted."""
+    spec = ServeSpec(source="synthetic", budget=60, chunk_size=256,
+                     queue_chunks=2)
+    service = SamplingService(spec).start()
+    assert service.wait_for_epoch(2, timeout=10.0) is not None
+    yield service
+    service.stop(drain=False)
+
+
+#: Ops that block on a pinned epoch; the fuzz always bounds their wait.
+_PINNABLE_OPS = ("wait", "estimates", "occupancy", "local", "motifs")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def request_lines(draw):
+    """One JSON-lines request: garbage text, any JSON, deep nesting, or a
+    near-miss op."""
+    kind = draw(st.sampled_from(["text", "json", "nested", "request"]))
+    if kind == "text":
+        return draw(st.text(max_size=40))
+    if kind == "json":
+        return json.dumps(draw(json_values))
+    if kind == "nested":
+        opener = draw(st.sampled_from(["[", '{"op": ']))
+        return opener * draw(st.integers(1, 100_000))
+    op = draw(st.sampled_from(("ping", "spec", "status") + _PINNABLE_OPS)
+              | st.text(max_size=6) | json_values)
+    request = {"op": op}
+    for key in ("epoch", "node", "extra"):
+        if draw(st.booleans()):
+            request[key] = draw(
+                st.integers(-3, 10**12) | st.text(max_size=4) | json_values)
+    if op in _PINNABLE_OPS or draw(st.booleans()):
+        # A wait with no timeout for a far epoch legitimately blocks on
+        # a live stream, so the fuzz bounds it (or makes it invalid).
+        request["timeout"] = draw(
+            st.floats(-1.0, 0.02) | st.text(max_size=3) | st.lists(st.none()))
+    return json.dumps(request)
+
+
+class TestHostileRequests:
+    @pytest.mark.parametrize(
+        "line", ["[" * 100_000, "[" * 100_000 + "]" * 100_000,
+                 '{"op": ' * 50_000],
+        ids=["unclosed", "closed", "nested-objects"])
+    def test_deep_nesting_is_bad_json_not_a_crash(self, drained_service,
+                                                  line):
+        answer = within(10.0, handle_line, drained_service, line)
+        assert answer["ok"] is False
+        assert answer["error"].startswith("bad JSON")
+
+    @pytest.mark.parametrize("request_", [
+        {"op": "wait", "epoch": 99},
+        {"op": "estimates", "epoch": 99},
+        {"op": "local", "epoch": 99, "timeout": 30},
+    ], ids=["wait", "pinned-estimates", "pinned-local-with-timeout"])
+    def test_epochs_past_a_finished_stream_answer_at_once(
+        self, graph_file, request_
+    ):
+        spec = ServeSpec(source=graph_file, budget=60, chunk_size=97)
+        service = SamplingService(spec).start()
+        lines = [json.dumps(request_), '{"op": "drain"}']
+        out = []
+        assert within(10.0, serve_lines, service, lines, out.append) == 2
+        unreached, drained = (json.loads(line) for line in out)
+        final = service.latest().epoch
+        assert final < 99
+        assert unreached == {
+            "ok": False, "op": request_["op"], "epoch": final,
+            "error": f"timed out waiting for epoch 99: the service stopped "
+                     f"at epoch {final}",
+        }
+        assert drained["ok"] and drained["status"]["errors"] == []
+
+    def test_pinned_read_that_times_out_says_so(self, live_service):
+        answer = within(10.0, live_service.query,
+                        {"op": "estimates", "epoch": 10**9, "timeout": 0.05})
+        assert answer["ok"] is False
+        assert answer["error"] == "timed out waiting for epoch 1000000000"
+
+    def test_unknown_op_never_waits(self, live_service):
+        answer = within(10.0, live_service.query,
+                        {"op": "sudo", "epoch": 10**9})
+        assert not answer["ok"] and "known ops" in answer["error"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(request_lines(), min_size=1, max_size=4))
+    def test_fuzzed_lines_always_answer_and_ingestion_goes_on(
+        self, live_service, lines
+    ):
+        before = live_service.status()["resilience"]["edges_ingested"]
+        for line in lines:
+            answer = within(10.0, handle_line, live_service, line)
+            assert isinstance(answer, dict) and isinstance(answer["ok"], bool)
+            json.dumps(answer)  # the transport can always write it
+        assert live_service.running
+        assert live_service.status()["errors"] == []
+        within(10.0, self._ingests_past, live_service, before)
+
+    @staticmethod
+    def _ingests_past(service, edges):
+        while service.status()["resilience"]["edges_ingested"] <= edges:
+            time.sleep(0.001)
 
 
 # ----------------------------------------------------------------------

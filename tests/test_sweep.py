@@ -265,6 +265,48 @@ class TestGroundTruthCache:
             store.path_for(key).write_text(garbage)
             assert store.read(key) is None, garbage
 
+    #: A ground-truth entry exactly as the store writes it: the graph of
+    #: PINNED_FILE (a triangle plus a pendant path, a self loop, a
+    #: reversed duplicate, a third column, CRLF and a % header).
+    PINNED_FILE = b"% pinned\r\n0 1\r\n1 2 7\r\n2 0\r\n2 3\r\n3 3\r\n1 0\r\n3 4\r\n"
+    PINNED_KEY = (
+        "bf44a119208c8bf43ca483aa8a070126a22c16b368933a8733167736ca42c3f6"
+    )
+    PINNED_PAYLOAD = (
+        '{\n "version": 1,\n "data": {\n  "num_nodes": 5,\n  "num_edges": 5,'
+        '\n  "triangles": 1,\n  "wedges": 6,\n  "clustering": 0.5\n }\n}'
+    )
+
+    def test_ground_truth_payload_is_pinned(self, tmp_path, monkeypatch):
+        """Existing ground-truth entries keep serving: the key of a fixed
+        file, the format version and the payload bytes do not move."""
+        import repro.api.ground_truth as gt
+
+        path = tmp_path / "g.txt"
+        path.write_bytes(self.PINNED_FILE)
+        assert gt._FORMAT_VERSION == 1
+        cold = GroundTruthCache(tmp_path / "cold")
+        assert cold.key_for(str(path)) == self.PINNED_KEY
+        cold.statistics(str(path))
+        entry = tmp_path / "cold" / "ground_truth" / f"{self.PINNED_KEY}.json"
+        assert entry.read_text() == self.PINNED_PAYLOAD
+
+        # A payload in this format reads back as a hit, with no recount.
+        warm_entry = tmp_path / "warm" / "ground_truth" / entry.name
+        warm_entry.parent.mkdir(parents=True)
+        warm_entry.write_text(self.PINNED_PAYLOAD)
+
+        def recount(source):
+            raise AssertionError("a pinned ground-truth entry was recounted")
+
+        monkeypatch.setattr(GroundTruthCache, "_compute", staticmethod(recount))
+        warm = GroundTruthCache(tmp_path / "warm")
+        stats = warm.statistics(str(path))
+        assert (warm.hits, warm.misses) == (1, 0)
+        assert stats.as_dict() == {"num_nodes": 5, "num_edges": 5,
+                                   "triangles": 1, "wedges": 6,
+                                   "clustering": 0.5}
+
     def test_memory_only_cache_never_hashes_dataset_content(
         self, monkeypatch
     ):
