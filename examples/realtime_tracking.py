@@ -6,8 +6,10 @@ thousand edges of memory regardless of stream length.  GPS in-stream
 estimation updates in O(1) amortised per query, so the dashboard can be
 refreshed at every checkpoint.
 
-The script prints an ASCII chart of estimate vs actual as the stream
-progresses.
+The script declares one tracking run (``RunSpec(checkpoints=...)``):
+``run`` counts the exact prefix series once and records the GPS
+estimate bundle at every checkpoint, then the script prints an ASCII
+chart of estimate vs actual as the stream progresses.
 
 Run:  python examples/realtime_tracking.py [--capacity 3000]
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
-from repro import EdgeStream, ExactStreamCounter, InStreamEstimator
+from repro import RunSpec, run
 from repro.graph.generators import chung_lu
 
 
@@ -37,43 +39,36 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     print("Simulating an interaction stream (heavy-tailed Chung-Lu graph) ...")
     graph = chung_lu(args.nodes, args.edges, exponent=2.2, seed=args.seed)
-    stream = EdgeStream.from_graph(graph, seed=args.seed)
-    marks = set(stream.checkpoints(args.checkpoints))
+    report = run(
+        RunSpec(source="<interaction stream>", method="gps-in-stream",
+                budget=args.capacity, stream_seed=args.seed,
+                sampler_seed=args.seed + 1, checkpoints=args.checkpoints),
+        graph=graph,
+    )
+    last = report.tracking[-1]
 
-    estimator = InStreamEstimator(capacity=args.capacity, seed=args.seed + 1)
-    exact = ExactStreamCounter()
-
-    rows = []
-    t = 0
-    for u, v in stream:
-        estimator.process(u, v)
-        exact.process(u, v)
-        t += 1
-        if t in marks:
-            rows.append((t, exact.triangles, estimator.estimates()))
-
-    scale = max(exact.triangles, 1)
+    scale = max(last.exact_triangles, 1)
     print(
         f"\nTriangle tracking with m={args.capacity} "
-        f"({args.capacity / len(stream):.1%} of the stream)\n"
+        f"({args.capacity / report.edges:.1%} of the stream)\n"
     )
     print(f"{'t':>8}  {'actual':>10}  {'estimate':>10}  {'ARE':>7}  chart")
-    for t, actual, estimates in rows:
-        est = estimates.triangles
+    for point in report.tracking:
+        actual, est = point.exact_triangles, point.in_stream.triangles
         err = est.relative_error(actual) if actual else 0.0
         print(
-            f"{t:>8}  {actual:>10}  {est.value:>10.0f}  {err:>7.2%}  "
-            f"|{bar(est.value, scale)}"
+            f"{point.position:>8}  {actual:>10}  {est.value:>10.0f}  "
+            f"{err:>7.2%}  |{bar(est.value, scale)}"
         )
-    final = rows[-1][2]
+    final = last.in_stream
     lb, ub = final.triangles.confidence_bounds()
     print(
         f"\nfinal estimate {final.triangles.value:.0f} "
-        f"(actual {exact.triangles}), 95% CI [{lb:.0f}, {ub:.0f}]"
+        f"(actual {last.exact_triangles}), 95% CI [{lb:.0f}, {ub:.0f}]"
     )
     print(
         f"clustering: estimate {final.clustering.value:.4f} "
-        f"vs actual {exact.clustering:.4f}"
+        f"vs actual {last.exact_clustering:.4f}"
     )
     return 0
 

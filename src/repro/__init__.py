@@ -66,7 +66,6 @@ from repro.engine.stream_engine import EngineStats, StreamEngine
 from repro.serve import SamplingService, ServeSpec
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.exact import (
-    ExactStreamCounter,
     GraphStatistics,
     compute_statistics,
     global_clustering,
@@ -110,7 +109,6 @@ __all__ = [
     "SamplingService",
     "ServeSpec",
     "AdjacencyGraph",
-    "ExactStreamCounter",
     "GraphStatistics",
     "compute_statistics",
     "global_clustering",

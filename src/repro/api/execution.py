@@ -7,9 +7,10 @@ pass → estimates with error bars) is implemented exactly once:
 
 * **single pass** (default): one :class:`~repro.engine.StreamEngine`
   drive over the permuted stream, batched through ``process_many``;
-* **tracking pass** (``spec.checkpoints > 0``): the engine runs in
-  lockstep with an exact prefix counter and records a
-  :class:`TrackPoint` at every mark;
+* **tracking pass** (``spec.checkpoints > 0``): the exact prefix
+  series is counted once from the permuted stream's columns
+  (:func:`~repro.graph.exact.prefix_counts`), then one engine pass
+  records a :class:`TrackPoint` at every mark;
 * **replicated pass** (``spec.replications > 1``): the spec becomes R
   single-pass specs seeded ``(stream_seed + i, sampler_seed + i)`` —
   any registered method, sharded or not — run by :func:`execute`, and
@@ -63,10 +64,11 @@ from repro.engine.stream_engine import EngineStats, StreamEngine
 from repro.faults.injector import coerce_injector
 from repro.stats.confidence import confidence_interval
 from repro.stats.running import RunningMoments
-from repro.streams.chunks import DEFAULT_CHUNK_SIZE
+from repro.streams.chunks import DEFAULT_CHUNK_SIZE, columnar_or_none
 from repro.graph.adjacency import AdjacencyGraph
-from repro.graph.exact import ExactStreamCounter
+from repro.graph.exact import prefix_counts
 from repro.graph.io import iter_edge_list, read_edge_columns
+from repro.streams.interner import NodeInterner
 from repro.streams.stream import EdgeStream
 from repro.streams.transforms import simplify_columns, simplify_edges
 
@@ -165,10 +167,12 @@ class RunReport:
     ``estimates`` always carries the method's final point estimates (for
     replicated runs: the across-replication means); ``metrics`` carries
     per-metric error bars for replicated runs; ``tracking`` the checkpoint
-    series for tracking runs.  Timing fields are the engine pass for
-    single/tracking runs; for replicated runs they cover the whole
-    protocol wall-clock — including process-pool startup and aggregation
-    — so they measure the study, not the per-edge update.  ``in_stream``/``post_stream`` hold the full
+    series for tracking runs.  Timing fields are the sampler's pass for
+    single/tracking runs, checkpoint callbacks included (a tracking
+    run's exact series is counted before it); for replicated runs they
+    cover the whole protocol wall-clock — including process-pool startup
+    and aggregation — so they measure the study, not the per-edge
+    update.  ``in_stream``/``post_stream`` hold the full
     GPS estimate bundles (with variances and bounds) when the method
     exposes them.  ``counter`` is the live counter object of single/track
     passes — handy for checkpointing — and is excluded from serialisation.
@@ -898,17 +902,30 @@ def _run_tracking(
     include_post: bool,
     chunk_size: Optional[int] = None,
 ) -> RunReport:
-    exact = ExactStreamCounter()
+    """One pass recording a :class:`TrackPoint` at every mark.
+
+    The exact series is counted before the pass, from the stream's
+    int32 columns (labels that are not int32 ints interned to dense
+    ids first), so the report's timing covers the sampler alone.
+    """
+    marks = stream.checkpoints(spec.checkpoints)
+    columns = stream.columnar()
+    if columns is None:
+        columns = columnar_or_none(NodeInterner().intern_edges(stream))
+    exact = iter(prefix_counts(*columns, marks))
     points: List[TrackPoint] = []
     is_gps = isinstance(counter, IN_STREAM_TYPES)
     sampler = getattr(counter, "sampler", None)
 
     def record(position: int) -> None:
+        triangles, wedges = next(exact)
         points.append(
             TrackPoint(
                 position=position,
-                exact_triangles=exact.triangles,
-                exact_clustering=exact.clustering,
+                exact_triangles=triangles,
+                exact_clustering=(
+                    3.0 * triangles / wedges if wedges else 0.0
+                ),
                 estimate=float(counter.triangle_estimate),
                 in_stream=counter.estimates() if is_gps else None,
                 post_stream=(
@@ -919,11 +936,8 @@ def _run_tracking(
             )
         )
 
-    engine = StreamEngine(counter, companions=(exact,), chunk_size=chunk_size)
-    stats = engine.run(
-        stream,
-        checkpoints=stream.checkpoints(spec.checkpoints),
-        on_checkpoint=record,
+    stats = StreamEngine(counter, chunk_size=chunk_size).run(
+        stream, checkpoints=marks, on_checkpoint=record
     )
     return _finish_report(
         spec, mode="track", method=method, counter=counter, stats=stats,

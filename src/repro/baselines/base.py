@@ -5,10 +5,9 @@ every method through this interface so that workloads, memory budgets and
 timing are measured identically for GPS and all baselines.
 
 :class:`BatchProcessMixin` supplies the ``process_many`` batched entry
-point the :class:`~repro.engine.stream_engine.StreamEngine` fast path looks
-for: every baseline inherits it, so engine-driven runs feed baselines in
-checkpoint-to-checkpoint batches (one Python call per batch) instead of
-falling back to the per-edge loop.
+point the :class:`~repro.engine.stream_engine.StreamEngine` drives: every
+baseline inherits it, so engine-driven runs feed baselines in
+checkpoint-to-checkpoint batches (one Python call per batch).
 """
 
 from __future__ import annotations
@@ -24,6 +23,10 @@ class StreamingTriangleCounter(Protocol):
 
     def process(self, u: Node, v: Node) -> None:
         """Consume one arriving edge."""
+        ...
+
+    def process_many(self, edges: Iterable[Tuple[Node, Node]]) -> int:
+        """Consume a batch of arriving edges; returns how many."""
         ...
 
     @property

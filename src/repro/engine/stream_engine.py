@@ -1,33 +1,29 @@
 """The throughput-oriented stream-driving loop.
 
 Every experiment in the repo used to hand-roll the same pattern: iterate
-an :class:`~repro.streams.stream.EdgeStream`, feed each arrival to one or
-more counters, and record state at checkpoint positions.
-:class:`StreamEngine` centralises that loop and makes it fast, picking
-the quickest drive the attached counters support:
+an :class:`~repro.streams.stream.EdgeStream`, feed each arrival to a
+counter, and record state at checkpoint positions.
+:class:`StreamEngine` centralises that loop and makes it fast with one
+of two drives:
 
-* **chunked** — when a ``chunk_size`` is configured and the primary
-  counter exposes ``process_chunk``, the stream is consumed as columnar
+* **chunked** — when a ``chunk_size`` is configured and the counter
+  exposes ``process_chunk``, the stream is consumed as columnar
   ``int32`` blocks (:meth:`repro.streams.EdgeStream.chunks`, or
   :func:`repro.streams.chunks.iter_chunks` for plain iterables) and
   blocks are split *exactly* at checkpoint marks, so checkpointed state
   is identical to a per-edge drive;
-* **batched** — otherwise, when the primary counter exposes
-  ``process_many``, edges are fed in checkpoint-to-checkpoint batches
-  instead of one Python call per arrival;
-* **lockstep** — the per-edge fallback, used only when a counter (or a
-  companion) demands per-edge hooks.
+* **batched** — otherwise the counter's ``process_many`` takes the
+  edges in checkpoint-to-checkpoint batches instead of one Python call
+  per arrival.
 
-Companions no longer disable batching wholesale: a companion that
-exposes ``process_many`` is driven at chunk/batch granularity too (each
-consumer sees the same edges in the same order, and the only
-synchronisation points — the checkpoints — fire at the same positions,
-so results are identical); only a companion without ``process_many``
-forces the per-edge lockstep.
+A counter with neither is rejected; ``process_many`` as a plain
+per-edge loop is what :class:`~repro.baselines.base.BatchProcessMixin`
+gives every baseline.
 
 Checkpoint callbacks receive the 1-based stream position; they close over
-whatever counters they want to read, so the engine stays agnostic of what
-is being estimated.
+whatever they want to read (a tracking run reads exact ground truth it
+counted before the pass), so the engine stays agnostic of what is being
+estimated.
 """
 
 from __future__ import annotations
@@ -39,13 +35,13 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from repro.graph.edge import Node
 
-#: Edges per materialised batch after the last checkpoint (bounds the
-#: memory of the batched-companions drive over unbounded streams).
+#: Edges per batch after the last checkpoint when observers are
+#: registered, so they keep firing over an unbounded stream.
 _TAIL_BATCH = 65536
 
-#: Anything consumable by the engine: ``.process(u, v)`` per arrival,
-#: optionally ``.process_many(edges) -> int`` for the batched fast path
-#: and ``.process_chunk(u_col, v_col) -> int`` for columnar blocks.
+#: Anything consumable by the engine: ``.process_many(edges) -> int``
+#: for the batched drive, ``.process_chunk(u_col, v_col) -> int`` for
+#: columnar blocks.
 Counter = object
 
 CheckpointCallback = Callable[[int], None]
@@ -73,22 +69,17 @@ class EngineStats:
 
 
 class StreamEngine:
-    """Drive a counter (plus optional companions) over a stream.
+    """Drive a counter over a stream.
 
     Parameters
     ----------
     counter:
-        The primary consumer; each arrival is fed to it first.
-    companions:
-        Extra consumers processed after the primary one between
-        checkpoints — e.g. an
-        :class:`~repro.graph.exact.ExactStreamCounter` supplying ground
-        truth at every checkpoint.  Companions exposing ``process_many``
-        ride the batched/chunked drives; only a companion without it
-        forces the per-edge lockstep.
+        The consumer of every arrival: a ``process_chunk`` counter on
+        the chunked drive, else a ``process_many`` one (any other
+        counter raises :class:`TypeError`).
     chunk_size:
         Enable the columnar drive with blocks of this many edges
-        (``None`` — the default — keeps the scalar drives).  Takes
+        (``None`` — the default — keeps the batched drive).  Takes
         effect only when the counter exposes ``process_chunk``; the
         stream must then either be an :class:`~repro.streams.EdgeStream`
         or an iterable of int-labelled pairs.
@@ -102,18 +93,24 @@ class StreamEngine:
     3
     """
 
-    __slots__ = ("_counter", "_companions", "_chunk_size", "_on_chunk")
+    __slots__ = ("_counter", "_chunked", "_chunk_size", "_on_chunk")
 
     def __init__(
         self,
         counter: Counter,
-        companions: Sequence[Counter] = (),
         chunk_size: Optional[int] = None,
     ) -> None:
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError("chunk_size must be positive (or None)")
+        self._chunked = chunk_size is not None and hasattr(
+            counter, "process_chunk"
+        )
+        if not self._chunked and not hasattr(counter, "process_many"):
+            raise TypeError(
+                f"{type(counter).__name__} has no process_many to drive "
+                f"(BatchProcessMixin supplies one over process)"
+            )
         self._counter = counter
-        self._companions = tuple(companions)
         self._chunk_size = chunk_size
         self._on_chunk: Tuple[ChunkObserver, ...] = ()
 
@@ -121,16 +118,16 @@ class StreamEngine:
         """Subscribe ``callback(position)`` to segment boundaries.
 
         Fires after every contiguous segment the engine feeds to the
-        counter(s) — each columnar block (and each checkpoint split) in
-        the chunked drive, each materialised batch in the batched
-        drive, each arrival in the per-edge lockstep — with the 1-based
-        stream position processed so far.  Unlike ``checkpoints``, no
-        positions need to be predeclared: observers (the serving
-        layer's snapshot publisher, metrics sinks) see every natural
-        pause point of whatever drive the engine picked.
+        counter — each columnar block (and each checkpoint split) in
+        the chunked drive, each checkpoint-to-checkpoint batch (then
+        every ``_TAIL_BATCH`` edges) in the batched drive — with the
+        1-based stream position processed so far.  Unlike
+        ``checkpoints``, no positions need to be predeclared: observers
+        (the serving layer's snapshot publisher, metrics sinks) see
+        every natural pause point of whatever drive the engine picked.
 
         Observers are ordinary Python callbacks on the driving thread;
-        they must not feed the counters.  When no observer is
+        they must not feed the counter.  When no observer is
         registered the drives skip the dispatch entirely (a no-op cost
         guarantee the regression tests pin down: hooks never perturb
         RNG state or counts).  Returns ``callback`` so the method works
@@ -144,10 +141,6 @@ class StreamEngine:
         return self._counter
 
     @property
-    def companions(self) -> Tuple[Counter, ...]:
-        return self._companions
-
-    @property
     def chunk_size(self) -> Optional[int]:
         return self._chunk_size
 
@@ -157,7 +150,7 @@ class StreamEngine:
         checkpoints: Optional[Sequence[int]] = None,
         on_checkpoint: Optional[CheckpointCallback] = None,
     ) -> EngineStats:
-        """Feed ``stream`` through the counter(s), firing checkpoints.
+        """Feed ``stream`` through the counter, firing checkpoints.
 
         ``checkpoints`` are strictly increasing 1-based arrival positions
         (as produced by :meth:`repro.streams.EdgeStream.checkpoints`);
@@ -171,21 +164,11 @@ class StreamEngine:
         if marks and marks[0] <= 0:
             raise ValueError("checkpoints are 1-based positive positions")
 
-        batchable = hasattr(self._counter, "process_many") and all(
-            hasattr(c, "process_many") for c in self._companions
-        )
-        chunked = (
-            self._chunk_size is not None
-            and batchable
-            and hasattr(self._counter, "process_chunk")
-        )
         started = time.perf_counter()
-        if chunked:
+        if self._chunked:
             edges = self._run_chunked(stream, marks, on_checkpoint)
-        elif batchable:
-            edges = self._run_batched(stream, marks, on_checkpoint)
         else:
-            edges = self._run_lockstep(stream, marks, on_checkpoint)
+            edges = self._run_batched(stream, marks, on_checkpoint)
         elapsed = time.perf_counter() - started
         fired = tuple(m for m in marks if m <= edges)
         return EngineStats(edges=edges, elapsed_seconds=elapsed, checkpoints=fired)
@@ -208,7 +191,6 @@ class StreamEngine:
 
             blocks = iter_chunks(stream, size)
         process_chunk = self._counter.process_chunk
-        companions = [c.process_many for c in self._companions]
         hooks = self._on_chunk
         mark_iter = iter(marks)
         next_mark = next(mark_iter, 0)
@@ -218,12 +200,7 @@ class StreamEngine:
             block_len = len(cu)
             while next_mark and next_mark - position <= block_len - offset:
                 cut = offset + (next_mark - position)
-                su, sv = cu[offset:cut], cv[offset:cut]
-                process_chunk(su, sv)
-                if companions:
-                    pairs = list(zip(su.tolist(), sv.tolist()))
-                    for feed in companions:
-                        feed(pairs)
+                process_chunk(cu[offset:cut], cv[offset:cut])
                 position = next_mark
                 offset = cut
                 if on_checkpoint is not None:
@@ -232,12 +209,7 @@ class StreamEngine:
                     hook(position)
                 next_mark = next(mark_iter, 0)
             if offset < block_len:
-                su, sv = cu[offset:], cv[offset:]
-                process_chunk(su, sv)
-                if companions:
-                    pairs = list(zip(su.tolist(), sv.tolist()))
-                    for feed in companions:
-                        feed(pairs)
+                process_chunk(cu[offset:], cv[offset:])
                 position += block_len - offset
                 for hook in hooks:
                     hook(position)
@@ -249,51 +221,19 @@ class StreamEngine:
         marks: Sequence[int],
         on_checkpoint: Optional[CheckpointCallback],
     ) -> int:
+        """Batched drive: ``islice`` views straight into ``process_many``.
+
+        Nothing is ever materialised, so lazy file streams stay lazy.
+        """
         process_many = self._counter.process_many
         hooks = self._on_chunk
         it = iter(stream)
         position = 0
-        if not self._companions:
-            # Feed islice views straight through: nothing is ever
-            # materialised, so lazy file streams stay lazy.
-            for mark in marks:
-                consumed = process_many(islice(it, mark - position))
-                position += consumed
-                if position < mark:  # stream ended before the checkpoint
-                    if consumed:
-                        for hook in hooks:
-                            hook(position)
-                    return position
-                if on_checkpoint is not None:
-                    on_checkpoint(position)
-                for hook in hooks:
-                    hook(position)
-            if not hooks:
-                return position + process_many(it)
-            # Observers want segment boundaries: bound the tail into
-            # _TAIL_BATCH slices so they keep firing past the last mark.
-            while True:
-                consumed = process_many(islice(it, _TAIL_BATCH))
-                if not consumed:
-                    return position
-                position += consumed
-                for hook in hooks:
-                    hook(position)
-        # Companions replay each batch, so batches are materialised —
-        # checkpoint-to-checkpoint, then bounded tail blocks.
-        companions = [c.process_many for c in self._companions]
-
-        def feed(batch) -> None:
-            process_many(batch)
-            for consume in companions:
-                consume(batch)
-
         for mark in marks:
-            batch = list(islice(it, mark - position))
-            feed(batch)
-            position += len(batch)
-            if position < mark:
-                if batch:
+            consumed = process_many(islice(it, mark - position))
+            position += consumed
+            if position < mark:  # stream ended before the checkpoint
+                if consumed:
                     for hook in hooks:
                         hook(position)
                 return position
@@ -301,49 +241,17 @@ class StreamEngine:
                 on_checkpoint(position)
             for hook in hooks:
                 hook(position)
+        if not hooks:
+            return position + process_many(it)
+        # Observers want segment boundaries: bound the tail into
+        # _TAIL_BATCH slices so they keep firing past the last mark.
         while True:
-            batch = list(islice(it, _TAIL_BATCH))
-            if not batch:
+            consumed = process_many(islice(it, _TAIL_BATCH))
+            if not consumed:
                 return position
-            feed(batch)
-            position += len(batch)
+            position += consumed
             for hook in hooks:
                 hook(position)
-
-    def _run_lockstep(
-        self,
-        stream: Iterable[Tuple[Node, Node]],
-        marks: Sequence[int],
-        on_checkpoint: Optional[CheckpointCallback],
-    ) -> int:
-        consumers = [self._counter.process]
-        consumers.extend(c.process for c in self._companions)
-        hooks = self._on_chunk
-        mark_iter = iter(marks)
-        next_mark = next(mark_iter, 0)
-        t = 0
-        if len(consumers) == 1 and not hooks:
-            process = consumers[0]
-            for u, v in stream:
-                process(u, v)
-                t += 1
-                if t == next_mark:
-                    if on_checkpoint is not None:
-                        on_checkpoint(t)
-                    next_mark = next(mark_iter, 0)
-            return t
-        for u, v in stream:
-            for process in consumers:
-                process(u, v)
-            t += 1
-            if t == next_mark:
-                if on_checkpoint is not None:
-                    on_checkpoint(t)
-                next_mark = next(mark_iter, 0)
-            # Lockstep's natural segment is one arrival.
-            for hook in hooks:
-                hook(t)
-        return t
 
 
 __all__ = [

@@ -8,8 +8,8 @@ needed for that on the substrate side:
   simple graph (the paper's "undirected, unweighted, simplified graph
   without self loops").
 * :mod:`repro.graph.exact` — exact triangle/wedge/clustering counting used
-  as ground truth, including an incremental counter for time-series ground
-  truth.
+  as ground truth, including the exact prefix series of a stream for the
+  tracking experiments.
 * :mod:`repro.graph.generators` — from-scratch random graph models standing
   in for the paper's network-repository datasets.
 * :mod:`repro.graph.io` — edge-list readers/writers for running on real
@@ -19,7 +19,6 @@ needed for that on the substrate side:
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.edge import canonical_edge, is_self_loop
 from repro.graph.exact import (
-    ExactStreamCounter,
     GraphStatistics,
     compute_statistics,
     global_clustering,
@@ -31,7 +30,6 @@ __all__ = [
     "AdjacencyGraph",
     "canonical_edge",
     "is_self_loop",
-    "ExactStreamCounter",
     "GraphStatistics",
     "compute_statistics",
     "global_clustering",

@@ -2,33 +2,33 @@
 
 Every experiment in the paper reports estimator error against the true
 statistic ``X`` of the full graph, so an exact counting substrate is a hard
-requirement.  Two flavours are provided:
+requirement.  One columnar machinery serves both flavours the experiments
+need:
 
-* Whole-graph counting by one columnar kernel,
-  :func:`column_statistics`: the degree-ordered forward algorithm
-  (Chiba–Nishizeki style, O(a(G)·|K|) candidate tests where ``a`` is
-  arboricity — the same bound the paper quotes for Algorithm 2, each
-  test a binary search) over integer edge columns.
+* Whole-graph counting, :func:`column_statistics`: the degree-ordered
+  forward algorithm (Chiba–Nishizeki style, O(a(G)·|K|) candidate tests
+  where ``a`` is arboricity — the same bound the paper quotes for
+  Algorithm 2, each test a binary search) over integer edge columns.
   :func:`compute_statistics`, :func:`triangle_count` and
   :func:`per_node_triangles` turn an :class:`AdjacencyGraph` into
   columns and call it; the sweep's ground truth hands it a file's
   parsed columns directly.
-* :class:`ExactStreamCounter`, an incremental counter that maintains the
-  exact cumulative triangle/wedge counts of the prefix graph as edges
-  arrive.  This supplies the exact time series `(N_t(△), N_t(Λ))` needed by
-  the tracking experiments (paper Table 3 and Figure 3) without recounting
-  from scratch at every checkpoint.
+* The prefix series of a stream, :func:`prefix_counts`: the exact
+  ``(N_t(△), N_t(Λ))`` at chosen arrival positions, which the tracking
+  experiments (paper Table 3 and Figure 3) score against.  Each
+  triangle is binned at the latest arrival of its three edges, so one
+  pass over the stream's triangles gives every prefix at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.adjacency import AdjacencyGraph
-from repro.graph.edge import EdgeKey, Node, is_self_loop
+from repro.graph.edge import Node
 
 #: Candidate third vertices tested per step of the triangle kernel.  The
 #: kernel's temporaries are its O(m) columns plus arrays of this length,
@@ -43,7 +43,9 @@ def _forward_codes(us, vs):
     points from its lower-ranked to its higher-ranked endpoint and is
     coded ``lo·2³² | hi`` (ranks stay below 2³², the count of int32
     labels).  Returns the labels in rank order, the degrees in rank
-    order and the sorted uint64 codes: the forward CSR, row by row.
+    order, the sorted uint64 codes (the forward CSR, row by row) and
+    the permutation that sorts them: sorted code ``i`` is input edge
+    ``perm[i]``.
     """
     labels, ends = np.unique(
         np.concatenate([us, vs]), return_inverse=True
@@ -54,14 +56,17 @@ def _forward_codes(us, vs):
     rank[order] = np.arange(len(labels), dtype=np.uint64)
     a, b = rank[ends[: len(us)]], rank[ends[len(us):]]
     codes = (np.minimum(a, b) << 32) | np.maximum(a, b)
-    codes.sort()
+    perm = np.argsort(codes)
+    codes = codes[perm]
     if (a == b).any() or (codes[1:] == codes[:-1]).any():
         raise ValueError("edge columns must be simplified: no self loops "
                          "or repeated edges")
-    return labels[order], degrees[order], codes
+    return labels[order], degrees[order], codes, perm
 
 
-def _closing_candidates(codes) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+def _closing_candidates(
+    codes,
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per block, the forward edge pairs that close a triangle.
 
     Every forward edge ``(a, b)`` nominates the later entries ``c`` of
@@ -69,8 +74,8 @@ def _closing_candidates(codes) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     when the code of ``(b, c)`` is an edge code, and each triangle is
     nominated once, at its two lowest-ranked vertices.  Candidates are
     numbered globally and tested :data:`_CANDIDATE_BLOCK` at a time by
-    binary search in the sorted codes.  Yields the positions ``(e, f)``
-    of ``(a, b)`` and ``(a, c)`` for every hit.
+    binary search in the sorted codes.  Yields the positions
+    ``(e, f, g)`` of ``(a, b)``, ``(a, c)`` and ``(b, c)`` for every hit.
     """
     m = len(codes)
     src = codes >> 32
@@ -88,7 +93,7 @@ def _closing_candidates(codes) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         at = np.searchsorted(codes, wanted)
         np.minimum(at, m - 1, out=at)
         hit = codes[at] == wanted
-        yield e[hit], f[hit]
+        yield e[hit], f[hit], at[hit]
 
 
 def _wedges(degrees) -> int:
@@ -125,8 +130,8 @@ def column_statistics(
     """
     if len(us) != len(vs):
         raise ValueError("edge columns differ in length")
-    labels, degrees, codes = _forward_codes(us, vs)
-    triangles = sum(len(e) for e, _ in _closing_candidates(codes))
+    labels, degrees, codes, _ = _forward_codes(us, vs)
+    triangles = sum(len(e) for e, _, _ in _closing_candidates(codes))
     wedges = _wedges(degrees)
     return GraphStatistics(
         num_nodes=len(labels) if num_nodes is None else num_nodes,
@@ -135,6 +140,84 @@ def column_statistics(
         wedges=wedges,
         clustering=3.0 * triangles / wedges if wedges else 0.0,
     )
+
+
+def _first_arrivals(us, vs) -> np.ndarray:
+    """Arrival indices of each edge's first arrival, self loops skipped.
+
+    Each undirected edge is keyed ``min·2³² + (max + 2³¹)``, injective
+    over int32 pairs; one plain sort proves the keys distinct in the
+    usual case of an already simplified stream.
+    """
+    kept = np.flatnonzero(us != vs)
+    lo = np.minimum(us[kept], vs[kept]).astype(np.int64)
+    hi = np.maximum(us[kept], vs[kept]).astype(np.int64)
+    keys = lo * (1 << 32) + (hi + (1 << 31))
+    if (np.diff(np.sort(keys)) == 0).any():
+        _, first = np.unique(keys, return_index=True)
+        kept = kept[np.sort(first)]
+    return kept
+
+
+def _prefix_wedges(ku, kv, kept, marks) -> np.ndarray:
+    """Wedges of each prefix: an edge adds its endpoints' prior degrees.
+
+    One stable sort of the interleaved endpoints lists every node's
+    occurrences in arrival order, so an occurrence's rank within its
+    node's run is the node's degree just before that arrival.
+    """
+    ends = np.empty(2 * len(ku), dtype=ku.dtype)
+    ends[0::2], ends[1::2] = ku, kv
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    before = np.arange(len(ends))
+    before -= np.searchsorted(ends, ends)
+    degree = np.empty_like(before)
+    degree[order] = before
+    wedges = np.zeros(len(ku) + 1, dtype=np.int64)
+    np.cumsum(degree[0::2] + degree[1::2], out=wedges[1:])
+    return wedges[np.searchsorted(kept, marks)]
+
+
+def _prefix_triangles(ku, kv, kept, marks) -> np.ndarray:
+    """Triangles of each prefix: each binned at its latest arrival."""
+    _, _, codes, perm = _forward_codes(ku, kv)
+    arrival = kept[perm]
+    closed = np.zeros(len(marks) + 1, dtype=np.int64)
+    for e, f, g in _closing_candidates(codes):
+        latest = np.maximum(np.maximum(arrival[e], arrival[f]), arrival[g])
+        closed += np.bincount(
+            np.searchsorted(marks, latest, side="right"),
+            minlength=len(closed),
+        )
+    return np.cumsum(closed[:-1])
+
+
+def prefix_counts(us, vs, marks: Sequence[int]) -> List[Tuple[int, int]]:
+    """Exact ``(triangles, wedges)`` of a stream's prefix graphs.
+
+    ``us``/``vs`` are a stream's int32 endpoint columns in arrival
+    order; a self loop or a repeat of an earlier edge (in either
+    orientation) adds nothing, as in a dict-of-sets prefix graph.
+    Row ``k`` counts the graph of the first ``marks[k]`` arrivals
+    (increasing 1-based positions).  A triangle counts from the latest
+    arrival of its three edges, binned into the marks one candidate
+    block at a time; an edge adds the wedges its endpoints' degrees
+    just before it close.  Time is O(m log m) plus the triangle
+    kernel's candidate tests, and memory O(m) plus one block, however
+    many marks there are.
+
+    >>> import numpy as np
+    >>> prefix_counts(np.array([0, 1, 1, 2, 0]), np.array([1, 0, 2, 0, 3]),
+    ...               [2, 4, 5])
+    [(0, 0), (1, 3), (1, 5)]
+    """
+    marks = np.asarray(marks, dtype=np.int64)
+    kept = _first_arrivals(us, vs)
+    ku, kv = us[kept], vs[kept]
+    wedges = _prefix_wedges(ku, kv, kept, marks)
+    triangles = _prefix_triangles(ku, kv, kept, marks)
+    return list(zip(triangles.tolist(), wedges.tolist()))
 
 
 def _graph_columns(
@@ -171,20 +254,13 @@ def global_clustering(graph: AdjacencyGraph) -> float:
     return compute_statistics(graph).clustering
 
 
-def per_edge_triangles(graph: AdjacencyGraph) -> Dict[EdgeKey, int]:
-    """Triangles through each edge: |Γ(u) ∩ Γ(v)| per edge {u, v}."""
-    return {
-        (u, v): len(graph.common_neighbors(u, v)) for u, v in graph.edges()
-    }
-
-
 def per_node_triangles(graph: AdjacencyGraph) -> Dict[Node, int]:
     """Triangles incident to each node (each triangle counted at 3 nodes)."""
     nodes, us, vs = _graph_columns(graph)
-    labels, _, codes = _forward_codes(us, vs)
+    labels, _, codes, _ = _forward_codes(us, vs)
     ranked = np.zeros(len(labels), dtype=np.int64)
     src, dst = codes >> 32, codes & 0xFFFFFFFF
-    for e, f in _closing_candidates(codes):
+    for e, f, _ in _closing_candidates(codes):
         for corner in (src[e], dst[e], dst[f]):
             np.add.at(ranked, corner.astype(np.int64), 1)
     counts = np.zeros(len(nodes), dtype=np.int64)
@@ -237,63 +313,3 @@ def compute_statistics(graph: AdjacencyGraph) -> GraphStatistics:
     """
     _, us, vs = _graph_columns(graph)
     return column_statistics(us, vs, num_nodes=graph.num_nodes)
-
-
-class ExactStreamCounter:
-    """Exact cumulative subgraph counts of a growing edge stream.
-
-    Processing edge ``{u, v}`` updates, in O(min degree):
-
-    * triangles:  +|Γ_t(u) ∩ Γ_t(v)| (new triangles closed by the edge);
-    * wedges:     +deg_t(u) + deg_t(v) (new paths of length 2 centred at
-      either endpoint), where degrees/neighbourhoods are taken *before* the
-      edge is added.
-
-    Used for the exact time series in the tracking experiments.
-    """
-
-    __slots__ = ("_graph", "_triangles", "_wedges", "_edges_seen")
-
-    def __init__(self) -> None:
-        self._graph = AdjacencyGraph()
-        self._triangles = 0
-        self._wedges = 0
-        self._edges_seen = 0
-
-    def process(self, u: Node, v: Node) -> bool:
-        """Account for edge ``{u, v}``; returns False for dup/self-loop."""
-        if is_self_loop(u, v) or self._graph.has_edge(u, v):
-            return False
-        self._triangles += self._graph.triangles_through(u, v)
-        self._wedges += self._graph.degree(u) + self._graph.degree(v)
-        self._graph.add_edge(u, v)
-        self._edges_seen += 1
-        return True
-
-    def process_many(self, edges: Iterable[Tuple[Node, Node]]) -> None:
-        for u, v in edges:
-            self.process(u, v)
-
-    @property
-    def triangles(self) -> int:
-        return self._triangles
-
-    @property
-    def wedges(self) -> int:
-        return self._wedges
-
-    @property
-    def edges_seen(self) -> int:
-        return self._edges_seen
-
-    @property
-    def clustering(self) -> float:
-        if self._wedges == 0:
-            return 0.0
-        return 3.0 * self._triangles / self._wedges
-
-    @property
-    def graph(self) -> AdjacencyGraph:
-        """The prefix graph accumulated so far (live; do not mutate)."""
-        return self._graph
-

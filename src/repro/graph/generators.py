@@ -22,10 +22,8 @@ unit tests with hand-computable triangle/wedge counts.
 Every generator emits dense ``0..n-1`` integer node labels (``road_grid``
 flattens its lattice coordinates), so generated graphs are already in the
 interned form the compact core and the shared-memory replication fan-out
-run on — :meth:`repro.streams.EdgeStream.interned` is the identity
-relabelling for them.  Keep that property when adding generators; streams
-from arbitrary-labelled sources intern via
-:class:`repro.streams.NodeInterner` instead.
+run on — :class:`repro.streams.NodeInterner` would be the identity
+relabelling for them.  Keep that property when adding generators.
 """
 
 from __future__ import annotations

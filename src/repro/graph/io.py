@@ -92,7 +92,6 @@ def iter_edge_list(
     path: PathLike,
     delimiter: Optional[str] = None,
     node_type: Callable[[str], Node] = int,
-    interner: Optional["NodeInterner"] = None,
 ) -> Iterator[Tuple[Node, Node]]:
     """Yield ``(u, v)`` pairs from an edge-list file, skipping comments.
 
@@ -100,12 +99,8 @@ def iter_edge_list(
     than two tokens are skipped; extra tokens beyond the first two are
     ignored (timestamps/weights in temporal edge lists).  A token that
     ``node_type`` rejects raises :class:`EdgeListError` naming the file
-    and line.  Passing a :class:`~repro.streams.interner.NodeInterner`
-    interns the labels to dense ``int32`` ids at parse time
-    (first-encounter order), so the rest of the pipeline runs on machine
-    integers; the interner keeps the id → label mapping.
+    and line.
     """
-    intern = interner.intern if interner is not None else None
     with _open_text(path, "r") as handle:
         for lineno, line in enumerate(handle, 1):
             tokens = edge_tokens(line, delimiter)
@@ -118,8 +113,6 @@ def iter_edge_list(
                     f"{path}:{lineno}: malformed edge {line.strip()!r} "
                     f"({exc})"
                 ) from None
-            if intern is not None:
-                u, v = intern(u), intern(v)
             yield u, v
 
 
@@ -293,7 +286,6 @@ def iter_edge_chunks(
     size: Optional[int] = None,
     delimiter: Optional[str] = None,
     node_type: Callable[[str], Node] = int,
-    interner: Optional["NodeInterner"] = None,
 ):
     """Read an edge-list file as columnar ``int32`` blocks.
 
@@ -303,9 +295,9 @@ def iter_edge_chunks(
     at most ``size`` edges (default
     :data:`repro.streams.chunks.DEFAULT_CHUNK_SIZE`): the input shape
     of the compact core's ``process_chunk``, without ever
-    materialising the whole stream.  With the default ``node_type=int``
-    labels pass through unchanged; non-int labels need an interner
-    (same contract as :meth:`repro.streams.EdgeStream.chunks`).
+    materialising the whole stream.  Labels pass through unchanged, so
+    they must be int32-range ints (:func:`repro.streams.chunks.iter_chunks`
+    raises :class:`TypeError` otherwise).
 
     With default arguments the file is parsed by the columnar reader one
     byte slab (about one block) at a time, yielding exactly the blocks
@@ -315,12 +307,11 @@ def iter_edge_chunks(
     from repro.streams.chunks import DEFAULT_CHUNK_SIZE, iter_chunks
 
     size = size if size is not None else DEFAULT_CHUNK_SIZE
-    if delimiter is None and node_type is int and interner is None:
+    if delimiter is None and node_type is int:
         return _iter_column_blocks(path, size)
     return iter_chunks(
         iter_edge_list(path, delimiter=delimiter, node_type=node_type),
         size=size,
-        interner=interner,
     )
 
 
@@ -328,23 +319,20 @@ def read_edge_list(
     path: PathLike,
     delimiter: Optional[str] = None,
     node_type: Callable[[str], Node] = int,
-    interner: Optional["NodeInterner"] = None,
 ) -> AdjacencyGraph:
     """Read an edge-list file into an :class:`AdjacencyGraph` (simplified).
 
     Integer files with default arguments parse through the columnar
     reader; the graph is the same either way.
     """
-    if delimiter is None and node_type is int and interner is None:
+    if delimiter is None and node_type is int:
         columns = read_edge_columns(path)
         if columns is not None:
             return AdjacencyGraph(
                 zip(columns[0].tolist(), columns[1].tolist())
             )
     return AdjacencyGraph(
-        iter_edge_list(
-            path, delimiter=delimiter, node_type=node_type, interner=interner
-        )
+        iter_edge_list(path, delimiter=delimiter, node_type=node_type)
     )
 
 
@@ -366,18 +354,3 @@ def write_edge_list(
             handle.write(f"{u}{delimiter}{v}\n")
             count += 1
     return count
-
-
-def relabel_consecutive(
-    edges: Iterable[Tuple[Node, Node]],
-) -> Tuple[List[Tuple[int, int]], dict]:
-    """Relabel arbitrary node ids to 0..n-1; returns (edges, mapping).
-
-    Thin wrapper over :class:`~repro.streams.interner.NodeInterner`
-    (kept for its historical ``(edges, {label: id})`` return shape).
-    """
-    from repro.streams.interner import NodeInterner
-
-    interner = NodeInterner()
-    out = interner.intern_edges(edges)
-    return out, {label: i for i, label in enumerate(interner.labels)}

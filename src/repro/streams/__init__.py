@@ -4,14 +4,13 @@ The paper's stream model presents the edges of a graph in arbitrary order,
 each processed exactly once (Sec. 1).  Experiments generate streams by
 randomly permuting a graph's edge set (Sec. 6).  :class:`EdgeStream`
 implements that model with explicit seeding so every run is reproducible,
-and :mod:`repro.streams.transforms` provides the usual stream hygiene
-(simplification, take/skip, relabelling, synthetic timestamps).
+and :mod:`repro.streams.transforms` provides the stream hygiene
+(simplification, tuple and columnar, and relabelling).
 :mod:`repro.streams.interner` interns arbitrary node labels to dense
-``int32`` ids at stream-construction time, so everything downstream of
-an :class:`EdgeStream` can run on machine integers, and
-:mod:`repro.streams.chunks` turns streams into columnar ``int32``
-blocks (``EdgeStream.chunks``) feeding the compact core's vectorised
-``process_chunk`` admission pre-pass.
+``int32`` ids, so a stream whose labels are not already int32 ints can
+still run on machine integers, and :mod:`repro.streams.chunks` turns
+streams into columnar ``int32`` blocks (``EdgeStream.chunks``) feeding
+the compact core's vectorised ``process_chunk`` admission pre-pass.
 """
 
 from repro.streams.chunks import (
@@ -19,15 +18,9 @@ from repro.streams.chunks import (
     columnar_or_none,
     iter_chunks,
 )
-from repro.streams.interner import NodeInterner, intern_edges
+from repro.streams.interner import NodeInterner
 from repro.streams.stream import EdgeStream
-from repro.streams.transforms import (
-    map_nodes,
-    simplify_edges,
-    skip,
-    take,
-    with_timestamps,
-)
+from repro.streams.transforms import simplify_edges
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -35,10 +28,5 @@ __all__ = [
     "NodeInterner",
     "columnar_or_none",
     "iter_chunks",
-    "intern_edges",
-    "map_nodes",
     "simplify_edges",
-    "skip",
-    "take",
-    "with_timestamps",
 ]

@@ -122,17 +122,13 @@ def pairs_from_columns(us, vs):
 
 
 def iter_chunks(
-    edges: Iterable[Edge],
-    size: int = DEFAULT_CHUNK_SIZE,
-    interner=None,
+    edges: Iterable[Edge], size: int = DEFAULT_CHUNK_SIZE
 ) -> Iterator[Chunk]:
     """Adapt any lazy ``(u, v)`` iterable into columnar int32 blocks.
 
-    Labels must already be int32-range ints; pass a
-    :class:`~repro.streams.interner.NodeInterner` to intern arbitrary
-    labels to dense ids instead (the interner keeps the id → label map).
-    Raises :class:`TypeError` on non-integer labels without an
-    interner.
+    Labels must already be int32-range ints; anything else raises
+    :class:`TypeError` (intern arbitrary labels to dense ids first, with
+    :class:`~repro.streams.interner.NodeInterner`).
 
     Examples
     --------
@@ -143,18 +139,15 @@ def iter_chunks(
     if size <= 0:
         raise ValueError("chunk size must be positive")
     it = iter(edges)
-    intern = interner.intern if interner is not None else None
     while True:
         block: List[Edge] = list(islice(it, size))
         if not block:
             return
-        if intern is not None:
-            block = [(intern(u), intern(v)) for u, v in block]
         columns = columnar_or_none(block)
         if columns is None:
             raise TypeError(
                 "chunked streams need int32-range integer node labels; "
-                "pass a NodeInterner to intern arbitrary labels"
+                "intern arbitrary labels with a NodeInterner first"
             )
         yield columns
 

@@ -20,13 +20,14 @@ edge sequence always produces the same id sequence.
 
 The synthetic generators (:mod:`repro.graph.generators`) already emit
 dense ``0..n-1`` int labels, for which interning is the identity
-relabelling; edge-list files (:func:`repro.graph.io.iter_edge_list`) can
-intern at parse time via the ``interner`` argument.
+relabelling, and integer edge-list files parse straight into int32
+columns; interning serves the rest (the live service's wide-id file
+source, tracking ground truth over non-int32 labels).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.graph.edge import Node
 
@@ -129,19 +130,4 @@ class NodeInterner:
         return f"NodeInterner(nodes={len(self._labels)})"
 
 
-def intern_edges(
-    edges: Sequence[Edge],
-) -> Tuple[List[InternedEdge], NodeInterner]:
-    """Convenience one-shot: ``(interned edges, interner)``.
-
-    Example
-    -------
-    >>> interned, interner = intern_edges([(10, 20), (20, 30)])
-    >>> interned
-    [(0, 1), (1, 2)]
-    """
-    interner = NodeInterner()
-    return interner.intern_edges(edges), interner
-
-
-__all__ = ["MAX_NODES", "NodeInterner", "intern_edges"]
+__all__ = ["MAX_NODES", "NodeInterner"]

@@ -267,26 +267,6 @@ class EdgeStream:
             self._edges = list(zip(us.tolist(), vs.tolist()))
         return self._edges
 
-    def interned(
-        self, interner: Optional[NodeInterner] = None
-    ) -> Tuple["EdgeStream", NodeInterner]:
-        """The same stream on dense ``int32`` node ids.
-
-        Returns ``(stream, interner)``: an :class:`EdgeStream` in the
-        identical arrival order whose labels are replaced by dense ids
-        (first-encounter order), plus the
-        :class:`~repro.streams.interner.NodeInterner` mapping ids back to
-        the original labels.  Interning changes no estimate — every
-        metric in the repo is label-free — and is what the compact core
-        runs on when labels are not already int32 ints.
-
-        >>> stream, interner = EdgeStream([("a", "b"), ("b", "c")]).interned()
-        >>> list(stream), interner.label(2)
-        ([(0, 1), (1, 2)], 'c')
-        """
-        interner = interner if interner is not None else NodeInterner()
-        return EdgeStream(interner.intern_edges(self._pairs())), interner
-
     def permuted(
         self, seed: Optional[int], *, columns: bool = False
     ) -> "EdgeStream":

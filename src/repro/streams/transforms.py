@@ -2,18 +2,17 @@
 
 The paper assumes simplified graphs (unique, loop-free edges).  Real edge
 lists rarely guarantee that, so :func:`simplify_edges` is the standard
-pre-processing step; the remaining helpers cover common experiment plumbing
-(prefix/suffix selection, relabelling, synthetic timestamps).
+pre-processing step, and :func:`relabel_streaming` maps any labels to
+consecutive ints.
 
-All transforms are lazy generators over ``(u, v)`` pairs and compose,
-except :func:`simplify_columns`, the vectorised twin of
+Both are lazy generators over ``(u, v)`` pairs;
+:func:`simplify_columns` is the vectorised twin of
 :func:`simplify_edges` over int32 columns (the columnar file ingest).
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Callable, Dict, Iterable, Iterator, Set, Tuple
+from typing import Dict, Iterable, Iterator, Set, Tuple
 
 import numpy as np
 
@@ -71,25 +70,6 @@ def simplify_columns(us, vs):
     return us[first], vs[first]
 
 
-def take(edges: Iterable[Tuple[Node, Node]], count: int) -> Iterator[Tuple[Node, Node]]:
-    """The first ``count`` arrivals."""
-    return islice(iter(edges), count)
-
-
-def skip(edges: Iterable[Tuple[Node, Node]], count: int) -> Iterator[Tuple[Node, Node]]:
-    """Everything after the first ``count`` arrivals."""
-    return islice(iter(edges), count, None)
-
-
-def map_nodes(
-    edges: Iterable[Tuple[Node, Node]],
-    mapping: Callable[[Node], Node],
-) -> Iterator[Tuple[Node, Node]]:
-    """Apply ``mapping`` to both endpoints of every edge."""
-    for u, v in edges:
-        yield mapping(u), mapping(v)
-
-
 def relabel_streaming(
     edges: Iterable[Tuple[Node, Node]],
 ) -> Iterator[Tuple[int, int]]:
@@ -99,15 +79,3 @@ def relabel_streaming(
         iu = labels.setdefault(u, len(labels))
         iv = labels.setdefault(v, len(labels))
         yield iu, iv
-
-
-def with_timestamps(
-    edges: Iterable[Tuple[Node, Node]],
-    start: float = 0.0,
-    interval: float = 1.0,
-) -> Iterator[Tuple[float, Node, Node]]:
-    """Attach synthetic arrival timestamps ``start + t·interval``."""
-    timestamp = start
-    for u, v in edges:
-        yield timestamp, u, v
-        timestamp += interval

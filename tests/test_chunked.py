@@ -257,35 +257,8 @@ class TestProcessChunkEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Engine: chunk splitting at marks, companion granularity
+# Engine: chunk splitting at marks
 # ----------------------------------------------------------------------
-class _BatchSpy:
-    """A companion that records the granularity it was driven at."""
-
-    def __init__(self):
-        self.edges = []
-        self.batch_sizes = []
-
-    def process(self, u, v):
-        self.edges.append((u, v))
-        self.batch_sizes.append(1)
-
-    def process_many(self, edges):
-        batch = list(edges)
-        self.edges.extend(batch)
-        self.batch_sizes.append(len(batch))
-
-
-class _PerEdgeSpy:
-    """A companion demanding per-edge hooks (no process_many)."""
-
-    def __init__(self):
-        self.edges = []
-
-    def process(self, u, v):
-        self.edges.append((u, v))
-
-
 class TestEngineChunking:
     def test_checkpoints_split_chunks_exactly(self, clean_edges):
         stream = EdgeStream(clean_edges)
@@ -308,50 +281,6 @@ class TestEngineChunking:
             )
             fresh.process_many(clean_edges[:t])
             assert seen[t] == sampler_signature(fresh), t
-
-    def test_companions_ride_the_batched_path(self, clean_edges):
-        """Regression: a process_many companion must no longer force the
-        per-edge lockstep loop."""
-        spy = _BatchSpy()
-        counter = CompactGraphPrioritySampler(
-            60, weight_fn=UniformWeight(), seed=1
-        )
-        marks = [100, 250]
-        engine = StreamEngine(counter, companions=(spy,))
-        stats = engine.run(EdgeStream(clean_edges), checkpoints=marks)
-        assert stats.edges == len(clean_edges)
-        assert spy.edges == clean_edges  # same arrivals, same order
-        assert max(spy.batch_sizes) > 1  # driven at batch granularity
-        assert len(spy.batch_sizes) < len(clean_edges)
-
-    def test_companions_ride_the_chunked_path(self, clean_edges):
-        spy = _BatchSpy()
-        counter = CompactGraphPrioritySampler(
-            60, weight_fn=UniformWeight(), seed=1
-        )
-        engine = StreamEngine(counter, companions=(spy,), chunk_size=128)
-        engine.run(EdgeStream(clean_edges), checkpoints=[50, 200])
-        assert spy.edges == clean_edges
-        assert max(spy.batch_sizes) > 1
-        scalar = CompactGraphPrioritySampler(
-            60, weight_fn=UniformWeight(), seed=1
-        )
-        scalar.process_many(clean_edges)
-        assert sampler_signature(counter) == sampler_signature(scalar)
-
-    def test_per_edge_companion_forces_lockstep(self, clean_edges):
-        spy = _PerEdgeSpy()
-        counter = CompactGraphPrioritySampler(
-            60, weight_fn=UniformWeight(), seed=1
-        )
-        engine = StreamEngine(counter, companions=(spy,), chunk_size=128)
-        engine.run(EdgeStream(clean_edges))
-        assert spy.edges == clean_edges
-        scalar = CompactGraphPrioritySampler(
-            60, weight_fn=UniformWeight(), seed=1
-        )
-        scalar.process_many(clean_edges)
-        assert sampler_signature(counter) == sampler_signature(scalar)
 
     def test_chunked_engine_matches_scalar_engine(self, clean_edges):
         chunked = CompactGraphPrioritySampler(

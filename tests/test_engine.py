@@ -11,7 +11,7 @@ from repro.core.weights import UniformWeight
 from repro.api.execution import MetricSummary, execute, replicate, run
 from repro.api.spec import RunSpec
 from repro.engine import StreamEngine
-from repro.graph.exact import ExactStreamCounter, compute_statistics
+from repro.graph.exact import compute_statistics
 from repro.graph.generators import powerlaw_cluster
 from repro.stats.running import RunningMoments
 from repro.streams.stream import EdgeStream
@@ -65,25 +65,21 @@ class TestStreamEngine:
             fresh.process_stream(engine_stream.prefix(t))
             assert seen[t] == fresh.triangle_estimate
 
-    def test_lockstep_companions(self, engine_stream):
-        estimator = InStreamEstimator(80, seed=2)
-        exact = ExactStreamCounter()
-        marks = engine_stream.checkpoints(5)
-        exact_at = []
-        engine = StreamEngine(estimator, companions=(exact,))
-        stats = engine.run(engine_stream, checkpoints=marks,
-                           on_checkpoint=lambda t: exact_at.append(exact.triangles))
-        assert stats.edges == len(engine_stream)
-        assert len(exact_at) == 5
-        assert exact_at == sorted(exact_at)  # prefix counts are monotone
-        final = compute_statistics(engine_stream.prefix_graph())
-        assert exact_at[-1] == final.triangles
-
     def test_counter_without_process_many(self, engine_stream):
         counter = TriestImpr(60, seed=0)
         stats = StreamEngine(counter).run(engine_stream)
         assert stats.edges == len(engine_stream)
         assert counter.triangle_estimate >= 0.0
+
+    def test_rejects_counter_without_process_many(self):
+        class PerEdgeOnly:
+            def process(self, u, v):
+                pass
+
+        with pytest.raises(TypeError, match="process_many"):
+            StreamEngine(PerEdgeOnly())
+        with pytest.raises(TypeError, match="process_many"):
+            StreamEngine(PerEdgeOnly(), chunk_size=64)
 
     def test_checkpoints_beyond_stream_never_fire(self):
         fired = []

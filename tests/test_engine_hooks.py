@@ -19,7 +19,6 @@ from repro.core.compact import CompactGraphPrioritySampler
 from repro.core.priority_sampler import GraphPrioritySampler
 from repro.core.weights import TriangleWeight
 from repro.engine.stream_engine import StreamEngine
-from repro.graph.exact import ExactStreamCounter
 from repro.graph.generators import powerlaw_cluster
 from repro.streams.stream import EdgeStream
 
@@ -33,16 +32,6 @@ def _compact(seed=9):
     return CompactGraphPrioritySampler(
         50, weight_fn=TriangleWeight(), seed=seed
     )
-
-
-class _PerEdgeOnly:
-    """A companion without ``process_many``: forces the lockstep drive."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def process(self, u, v) -> None:
-        self.count += 1
 
 
 def _run_with_hook(engine, edges, **kwargs):
@@ -82,28 +71,6 @@ def test_hooks_fire_in_batched_drive():
     stats, positions = _run_with_hook(engine, edges, checkpoints=[120])
     _assert_boundary_contract(positions, stats.edges)
     assert 120 in positions
-
-
-def test_hooks_fire_in_batched_drive_with_companions():
-    edges = _edges()
-    engine = StreamEngine(
-        GraphPrioritySampler(capacity=50, seed=9),
-        companions=[ExactStreamCounter()],
-    )
-    stats, positions = _run_with_hook(engine, edges, checkpoints=[120])
-    _assert_boundary_contract(positions, stats.edges)
-    assert 120 in positions
-
-
-def test_hooks_fire_per_arrival_in_lockstep_drive():
-    edges = _edges()[:40]
-    companion = _PerEdgeOnly()
-    engine = StreamEngine(
-        GraphPrioritySampler(capacity=20, seed=9), companions=[companion]
-    )
-    stats, positions = _run_with_hook(engine, edges)
-    assert positions == list(range(1, len(edges) + 1))
-    assert stats.edges == len(edges) == companion.count
 
 
 def test_on_chunk_works_as_decorator_and_stacks():
@@ -172,22 +139,6 @@ def test_hooks_do_not_perturb_batched_run():
     engine.run(edges, checkpoints=[100])
 
     assert hooked.stream_position == plain.stream_position
-    assert hooked.threshold == plain.threshold
-    assert sorted(e.key for e in hooked.sample.records()) == sorted(
-        e.key for e in plain.sample.records()
-    )
-
-
-def test_hooks_do_not_perturb_lockstep_run():
-    edges = _edges()[:80]
-    plain = GraphPrioritySampler(capacity=30, seed=9)
-    StreamEngine(plain, companions=[_PerEdgeOnly()]).run(edges)
-
-    hooked = GraphPrioritySampler(capacity=30, seed=9)
-    engine = StreamEngine(hooked, companions=[_PerEdgeOnly()])
-    engine.on_chunk(lambda position: None)
-    engine.run(edges)
-
     assert hooked.threshold == plain.threshold
     assert sorted(e.key for e in hooked.sample.records()) == sorted(
         e.key for e in plain.sample.records()

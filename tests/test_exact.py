@@ -1,7 +1,7 @@
 """Tests for exact triangle/wedge/clustering counting (the ground truth).
 
 Cross-validated against networkx (test dependency only), against the
-dict-of-sets oracle in ``exact_oracle.py`` and against hand-computable
+dict-of-sets oracles in ``exact_oracle.py`` and against hand-computable
 closed forms on structured graphs.
 """
 
@@ -13,7 +13,11 @@ from unittest import mock
 import networkx as nx
 import numpy as np
 import pytest
-from exact_oracle import oracle_statistics
+from exact_oracle import (
+    ExactStreamCounter,
+    oracle_prefix_counts,
+    oracle_statistics,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,13 +26,12 @@ from repro.api.ground_truth import GroundTruthCache
 from repro.cli import main
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.exact import (
-    ExactStreamCounter,
     column_statistics,
     compute_statistics,
     global_clustering,
     local_clustering,
-    per_edge_triangles,
     per_node_triangles,
+    prefix_counts,
     triangle_count,
     wedge_count,
 )
@@ -89,12 +92,6 @@ class TestClosedForms:
 
 
 class TestPerElementCounts:
-    def test_per_edge_triangles_diamond(self, diamond_graph):
-        counts = per_edge_triangles(diamond_graph)
-        assert counts[(1, 2)] == 2
-        assert counts[(0, 1)] == 1
-        assert counts[(1, 3)] == 1
-
     def test_per_node_triangles_k4(self, k4_graph):
         counts = per_node_triangles(k4_graph)
         assert all(count == 3 for count in counts.values())
@@ -316,6 +313,41 @@ def test_kernel_rejects_unsimplified_columns(us, vs):
 def test_kernel_rejects_ragged_columns():
     with pytest.raises(ValueError, match="length"):
         column_statistics(np.array([1, 2]), np.array([3]))
+
+
+# ----------------------------------------------------------------------
+# The prefix kernel against the streaming oracle
+# ----------------------------------------------------------------------
+@st.composite
+def streams_and_marks(draw):
+    """Raw int32 streams — self loops, repeats in both orientations,
+    negative and ±2³¹ ids, empty — with increasing 1-based marks, some
+    past the end."""
+    pairs = draw(st.lists(st.tuples(int_labels, int_labels), max_size=120))
+    repeats = draw(st.lists(
+        st.tuples(st.integers(0, 119), st.booleans()), max_size=30
+    ))
+    stream = list(pairs)
+    for at, flip in repeats:
+        if pairs:
+            u, v = pairs[at % len(pairs)]
+            stream.insert(draw(st.integers(0, len(stream))),
+                          (v, u) if flip else (u, v))
+    marks = draw(st.sets(st.integers(1, len(stream) + 3), max_size=12))
+    return stream, sorted(marks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams_and_marks())
+def test_prefix_kernel_matches_streaming_oracle(case):
+    stream, marks = case
+    columns = np.array(stream, dtype=np.int32).reshape(-1, 2)
+    expected = oracle_prefix_counts(stream, marks)
+    for block in BLOCKS:
+        with mock.patch.object(exact, "_CANDIDATE_BLOCK", block):
+            rows = prefix_counts(columns[:, 0], columns[:, 1], marks)
+        assert rows == expected, block
+        assert all(type(t) is int and type(w) is int for t, w in rows)
 
 
 # ----------------------------------------------------------------------

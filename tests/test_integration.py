@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from exact_oracle import ExactStreamCounter
 
 from repro.core.in_stream import InStreamEstimator
 from repro.core.post_stream import PostStreamEstimator
 from repro.core.priority_sampler import GraphPrioritySampler
 from repro.core.subgraphs import CliqueEstimator, StarEstimator
 from repro.core.weights import TriangleWeight, UniformWeight, WedgeWeight
-from repro.graph.exact import ExactStreamCounter, compute_statistics
+from repro.graph.exact import compute_statistics
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.stats.metrics import ci_coverage

@@ -1,17 +1,12 @@
-"""NodeInterner and interned stream/file construction."""
+"""NodeInterner: dense first-encounter ids for arbitrary labels."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.graph.generators import powerlaw_cluster
-from repro.graph.io import (
-    iter_edge_list,
-    read_edge_list,
-    relabel_consecutive,
-    write_edge_list,
-)
-from repro.streams.interner import MAX_NODES, NodeInterner, intern_edges
+from repro.graph.io import iter_edge_list, write_edge_list
+from repro.streams.interner import MAX_NODES, NodeInterner
 from repro.streams.stream import EdgeStream
 
 
@@ -27,7 +22,8 @@ def test_intern_assigns_dense_first_encounter_ids():
 
 def test_intern_edges_and_back():
     edges = [("a", "b"), ("b", "c"), ("a", "c")]
-    interned, interner = intern_edges(edges)
+    interner = NodeInterner()
+    interned = interner.intern_edges(edges)
     assert interned == [(0, 1), (1, 2), (0, 2)]
     assert list(interner.edge_labels(interned)) == edges
     assert interner.id_of("c") == 2
@@ -42,7 +38,8 @@ def test_intern_edges_and_back():
 def test_stream_interned_preserves_order_and_length():
     graph = powerlaw_cluster(60, 3, 0.5, seed=4)
     stream = EdgeStream.from_graph(graph, seed=7)
-    interned, interner = stream.interned()
+    interner = NodeInterner()
+    interned = interner.intern_edges(stream)
     assert len(interned) == len(stream)
     # Same structure edge for edge: labels map back exactly.
     for (u, v), (iu, iv) in zip(stream, interned):
@@ -51,26 +48,6 @@ def test_stream_interned_preserves_order_and_length():
     # Ids are dense 0..n-1.
     seen = {n for e in interned for n in e}
     assert seen == set(range(len(interner)))
-
-
-def test_iter_edge_list_interns_at_parse_time(tmp_path):
-    path = tmp_path / "labels.txt"
-    path.write_text("# comment\nalpha beta\nbeta gamma\nalpha gamma\n")
-    interner = NodeInterner()
-    interned = list(
-        iter_edge_list(path, node_type=str, interner=interner)
-    )
-    assert interned == [(0, 1), (1, 2), (0, 2)]
-    assert interner.labels == ("alpha", "beta", "gamma")
-    graph = read_edge_list(path, node_type=str, interner=NodeInterner())
-    assert graph.num_nodes == 3 and graph.num_edges == 3
-
-
-def test_relabel_consecutive_matches_interner(tmp_path):
-    edges = [(10, 30), (30, 20), (10, 20)]
-    out, mapping = relabel_consecutive(edges)
-    assert out == [(0, 1), (1, 2), (0, 2)]
-    assert mapping == {10: 0, 30: 1, 20: 2}
 
 
 def test_interning_is_estimate_neutral(tmp_path):
@@ -82,9 +59,7 @@ def test_interning_is_estimate_neutral(tmp_path):
     write_edge_list(graph, path)
     # Same file read with string labels vs interned ints.
     labelled = list(iter_edge_list(path, node_type=str))
-    interned = list(
-        iter_edge_list(path, node_type=str, interner=NodeInterner())
-    )
+    interned = NodeInterner().intern_edges(labelled)
     a = CompactInStreamEstimator(60, seed=3)
     b = CompactInStreamEstimator(60, seed=3)
     a.process_many(labelled)

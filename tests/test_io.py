@@ -6,13 +6,7 @@ import gzip
 
 import pytest
 
-from repro.graph.adjacency import AdjacencyGraph
-from repro.graph.io import (
-    iter_edge_list,
-    read_edge_list,
-    relabel_consecutive,
-    write_edge_list,
-)
+from repro.graph.io import iter_edge_list, read_edge_list, write_edge_list
 
 
 class TestRoundTrip:
@@ -79,18 +73,6 @@ class TestParsing:
 
 
 class TestRelabel:
-    def test_relabel_consecutive(self):
-        edges, mapping = relabel_consecutive([("x", "y"), ("y", "z")])
-        assert edges == [(0, 1), (1, 2)]
-        assert mapping == {"x": 0, "y": 1, "z": 2}
-
-    def test_relabel_preserves_structure(self, k4_graph):
-        edges, mapping = relabel_consecutive(k4_graph.edges())
-        relabeled = AdjacencyGraph(edges)
-        assert relabeled.num_edges == k4_graph.num_edges
-        assert relabeled.num_nodes == k4_graph.num_nodes
-        assert len(mapping) == 4
-
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_edge_list(tmp_path / "absent.txt")

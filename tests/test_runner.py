@@ -11,7 +11,7 @@ from repro.api import RunSpec, run
 from repro.api.registry import baseline_method_names
 from repro.baselines.triest import TriestImpr
 from repro.engine.stream_engine import StreamEngine
-from repro.graph.exact import ExactStreamCounter, compute_statistics
+from repro.graph.exact import compute_statistics, prefix_counts
 from repro.graph.generators import powerlaw_cluster
 from repro.stats.metrics import absolute_relative_error
 from repro.streams.stream import EdgeStream
@@ -118,19 +118,23 @@ class TestTracking:
         assert all(p.in_stream is not None for p in report.tracking)
 
     def test_track_counter(self, runner_graph):
-        """An unregistered counter tracks through the engine directly."""
+        """An unregistered counter tracks through the engine directly,
+        scored against the exact series counted before the pass."""
         counter = TriestImpr(150, seed=0)
-        exact = ExactStreamCounter()
         stream = EdgeStream.from_graph(runner_graph, seed=0)
+        checkpoints = stream.checkpoints(5)
+        exact = iter(prefix_counts(*stream.columnar(), checkpoints))
         marks, truths, estimates = [], [], []
 
         def record(t):
             marks.append(t)
-            truths.append(exact.triangles)
+            truths.append(next(exact)[0])
             estimates.append(counter.triangle_estimate)
 
-        StreamEngine(counter, companions=(exact,)).run(
-            stream, checkpoints=stream.checkpoints(5), on_checkpoint=record
+        StreamEngine(counter).run(
+            stream, checkpoints=checkpoints, on_checkpoint=record
         )
-        assert len(marks) == len(truths) == len(estimates) == 5
+        assert marks == checkpoints
+        assert len(truths) == len(estimates) == 5
         assert truths == sorted(truths)
+        assert truths[-1] == compute_statistics(runner_graph).triangles

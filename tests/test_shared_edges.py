@@ -18,6 +18,7 @@ import pytest
 from repro.api.execution import run
 from repro.api.spec import RunSpec
 from repro.api.sweep import SweepSpec, run_sweep
+from repro.baselines.base import BatchProcessMixin
 from repro.engine.shared_edges import (
     SharedEdgePopulation,
     shared_memory_available,
@@ -252,7 +253,7 @@ def test_label_reading_method_refuses_interned_dispatch(graph, tmp_path):
     both pools: nothing is ever interned on the way to a worker."""
     import repro.api.registry as registry
 
-    class MaxLabel:
+    class MaxLabel(BatchProcessMixin):
         """Reports the largest node label it was fed."""
 
         def __init__(self):

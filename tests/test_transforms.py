@@ -2,14 +2,7 @@
 
 from __future__ import annotations
 
-from repro.streams.transforms import (
-    map_nodes,
-    relabel_streaming,
-    simplify_edges,
-    skip,
-    take,
-    with_timestamps,
-)
+from repro.streams.transforms import relabel_streaming, simplify_edges
 
 
 class TestSimplify:
@@ -35,31 +28,7 @@ class TestSimplify:
         assert next(iterator) == (0, 1)
 
 
-class TestTakeSkip:
-    def test_take(self):
-        edges = [(0, 1), (1, 2), (2, 3)]
-        assert list(take(edges, 2)) == [(0, 1), (1, 2)]
-
-    def test_take_more_than_available(self):
-        assert list(take([(0, 1)], 5)) == [(0, 1)]
-
-    def test_skip(self):
-        edges = [(0, 1), (1, 2), (2, 3)]
-        assert list(skip(edges, 1)) == [(1, 2), (2, 3)]
-
-    def test_skip_all(self):
-        assert list(skip([(0, 1)], 5)) == []
-
-    def test_take_then_skip_compose(self):
-        edges = [(i, i + 1) for i in range(10)]
-        assert list(take(skip(edges, 3), 2)) == [(3, 4), (4, 5)]
-
-
 class TestMapAndRelabel:
-    def test_map_nodes(self):
-        edges = [(1, 2), (2, 3)]
-        assert list(map_nodes(edges, lambda v: v * 10)) == [(10, 20), (20, 30)]
-
     def test_relabel_streaming_first_appearance_order(self):
         edges = [("c", "a"), ("a", "b")]
         assert list(relabel_streaming(edges)) == [(0, 1), (1, 2)]
@@ -68,13 +37,3 @@ class TestMapAndRelabel:
         edges = [("x", "y"), ("y", "x"), ("x", "z")]
         out = list(relabel_streaming(edges))
         assert out == [(0, 1), (1, 0), (0, 2)]
-
-
-class TestTimestamps:
-    def test_default_spacing(self):
-        out = list(with_timestamps([(0, 1), (1, 2)]))
-        assert out == [(0.0, 0, 1), (1.0, 1, 2)]
-
-    def test_custom_start_and_interval(self):
-        out = list(with_timestamps([(0, 1), (1, 2)], start=100.0, interval=0.5))
-        assert out == [(100.0, 0, 1), (100.5, 1, 2)]
