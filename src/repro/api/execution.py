@@ -535,9 +535,13 @@ def run(
         weight_fn=resolved_weight, core=spec.core,
     )
     chunk_size = chunk_size_for(method, resolved_weight, counter, population)
-    # A chunked pass permutes the int32 columns and never builds a tuple.
+    # A chunked pass permutes the int32 columns and never builds a tuple;
+    # a tracking pass counts its exact series on them, so it gathers
+    # them too when the population has them.
     stream = population.permuted(
-        spec.stream_seed, columns=chunk_size is not None
+        spec.stream_seed,
+        columns=chunk_size is not None
+        or (spec.checkpoints > 0 and population.has_columns),
     )
     if spec.checkpoints > 0:
         return _run_tracking(
@@ -906,13 +910,15 @@ def _run_tracking(
 
     The exact series is counted before the pass, from the stream's
     int32 columns (labels that are not int32 ints interned to dense
-    ids first), so the report's timing covers the sampler alone.
+    ids first), and a batched drive's tuples are built before it too,
+    so the report's timing covers the sampler alone.
     """
     marks = stream.checkpoints(spec.checkpoints)
     columns = stream.columnar()
     if columns is None:
         columns = columnar_or_none(NodeInterner().intern_edges(stream))
     exact = iter(prefix_counts(*columns, marks))
+    arrivals = stream if chunk_size else list(stream)
     points: List[TrackPoint] = []
     is_gps = isinstance(counter, IN_STREAM_TYPES)
     sampler = getattr(counter, "sampler", None)
@@ -937,7 +943,7 @@ def _run_tracking(
         )
 
     stats = StreamEngine(counter, chunk_size=chunk_size).run(
-        stream, checkpoints=marks, on_checkpoint=record
+        arrivals, checkpoints=marks, on_checkpoint=record
     )
     return _finish_report(
         spec, mode="track", method=method, counter=counter, stats=stats,

@@ -87,6 +87,29 @@ def _classify_weight(weight_fn: WeightFunction) -> Tuple[int, float, float]:
     return _W_GENERIC, 0.0, 0.0
 
 
+def _own_rows(
+    adj: Dict[Node, Dict[Node, int]], owned: set, *nodes: Node
+) -> None:
+    """Copy-on-write: make ``nodes``' adjacency rows safe to write in place.
+
+    Once :meth:`CompactGraphPrioritySampler.snapshot_adjacency` has run,
+    a row not in ``owned`` may be shared with a snapshot, so it is
+    copied and ``adj[x]`` rebound to the copy (rebinding an existing key
+    keeps its place, and a copy keeps the row's order).  A node with no
+    row is claimed too: the row the caller then creates is new.  Pruning
+    ``owned`` to the nodes that still have rows only costs later copies,
+    never a shared write, and bounds it when no further snapshot comes.
+    """
+    if len(owned) > 2 * len(adj) + 64:
+        owned.intersection_update(adj)
+    for x in nodes:
+        if x not in owned:
+            row = adj.get(x)
+            if row is not None:
+                adj[x] = row.copy()
+            owned.add(x)
+
+
 class CompactSample:
     """Live :class:`~repro.core.reservoir.SampledGraph`-protocol view.
 
@@ -334,6 +357,7 @@ class CompactGraphPrioritySampler:
         "_codes_stale",
         "_mt",
         "_mt_rs",
+        "_owned",
     )
 
     #: Below this many draws the list comprehension beats the MT19937
@@ -377,6 +401,9 @@ class CompactGraphPrioritySampler:
         # Lazily-built numpy MT19937 twin of self._rng for bulk draws.
         self._mt = None
         self._mt_rs = None
+        # Nodes whose adjacency rows no snapshot shares (see _own_rows);
+        # None until the first snapshot_adjacency, so batch runs skip it.
+        self._owned: Optional[set] = None
 
     # ------------------------------------------------------------------
     # Stream processing (procedure GPSUpdate, slot edition)
@@ -414,6 +441,7 @@ class CompactGraphPrioritySampler:
         """Specialised loop: W = coef·|△̂(k)| + default, inlined."""
         adj = self._adj
         adj_get = adj.get
+        owned = self._owned
         su = self._su
         sv = self._sv
         wts = self._weight
@@ -478,6 +506,8 @@ class CompactGraphPrioritySampler:
                     arr[s] = arrivals
                     cov_tri[s] = 0.0
                     cov_wedge[s] = 0.0
+                    if owned is not None:
+                        _own_rows(adj, owned, u, v)
                     nu = adj_get(u)
                     if nu is None:
                         adj[u] = {v: s}
@@ -496,6 +526,8 @@ class CompactGraphPrioritySampler:
                         threshold = root_prio
                     eu = su[s]
                     ev = sv[s]
+                    if owned is not None:
+                        _own_rows(adj, owned, eu, ev, u, v)
                     d = adj[eu]
                     del d[ev]
                     if not d:
@@ -538,6 +570,7 @@ class CompactGraphPrioritySampler:
         """Specialised loop: W ≡ constant — no topology reads at all."""
         adj = self._adj
         adj_get = adj.get
+        owned = self._owned
         su = self._su
         sv = self._sv
         wts = self._weight
@@ -580,6 +613,9 @@ class CompactGraphPrioritySampler:
                     arr[s] = arrivals
                     cov_tri[s] = 0.0
                     cov_wedge[s] = 0.0
+                    if owned is not None:
+                        _own_rows(adj, owned, u, v)
+                        nu = adj_get(u)
                     if nu is None:
                         adj[u] = {v: s}
                     else:
@@ -597,6 +633,8 @@ class CompactGraphPrioritySampler:
                         threshold = root_prio
                     eu = su[s]
                     ev = sv[s]
+                    if owned is not None:
+                        _own_rows(adj, owned, eu, ev, u, v)
                     d = adj[eu]
                     del d[ev]
                     if not d:
@@ -639,6 +677,7 @@ class CompactGraphPrioritySampler:
         """Wedge-weight and arbitrary weight functions (via the view)."""
         adj = self._adj
         adj_get = adj.get
+        owned = self._owned
         su = self._su
         sv = self._sv
         wts = self._weight
@@ -698,6 +737,8 @@ class CompactGraphPrioritySampler:
                     arr[s] = arrivals
                     cov_tri[s] = 0.0
                     cov_wedge[s] = 0.0
+                    if owned is not None:
+                        _own_rows(adj, owned, u, v)
                     nu = adj_get(u)
                     if nu is None:
                         adj[u] = {v: s}
@@ -719,6 +760,8 @@ class CompactGraphPrioritySampler:
                         threshold = root_prio
                     eu = su[s]
                     ev = sv[s]
+                    if owned is not None:
+                        _own_rows(adj, owned, eu, ev, u, v)
                     d = adj[eu]
                     del d[ev]
                     if not d:
@@ -918,6 +961,7 @@ class CompactGraphPrioritySampler:
 
         adj = self._adj
         adj_get = adj.get
+        owned = self._owned
         su = self._su
         sv = self._sv
         wts = self._weight
@@ -956,6 +1000,8 @@ class CompactGraphPrioritySampler:
                 cov_tri[s] = 0.0
                 cov_wedge[s] = 0.0
                 slot_codes[s] = code_fill[i]
+                if owned is not None:
+                    _own_rows(adj, owned, u, v)
                 nu = adj_get(u)
                 if nu is None:
                     adj[u] = {v: s}
@@ -1001,6 +1047,10 @@ class CompactGraphPrioritySampler:
                     threshold = root_prio
                 eu = su[s]
                 ev = sv[s]
+                u = surv_u[k]
+                v = surv_v[k]
+                if owned is not None:
+                    _own_rows(adj, owned, eu, ev, u, v)
                 d = adj[eu]
                 del d[ev]
                 if not d:
@@ -1009,8 +1059,6 @@ class CompactGraphPrioritySampler:
                 del d[eu]
                 if not d:
                     del adj[ev]
-                u = surv_u[k]
-                v = surv_v[k]
                 su[s] = u
                 sv[s] = v
                 wts[s] = constant
@@ -1127,16 +1175,24 @@ class CompactGraphPrioritySampler:
         return out
 
     def snapshot_adjacency(self) -> Dict[Node, Dict[Node, int]]:
-        """Order-preserving copy of the slot adjacency (node → nbr → slot).
+        """Order-preserving view of the slot adjacency (node → nbr → slot).
 
         The companion of :meth:`snapshot_arrays` for consumers that
         need bit-identical *retrospective* estimates: the adjacency's
         dict insertion orders determine the float accumulation order of
         Algorithm 2 and every other retrospective estimator, and the
-        slot columns alone cannot recover them.  The copy is two dict
-        levels deep — mutating the sampler afterwards never changes it.
+        slot columns alone cannot recover them.
+
+        Only the outer map is copied: its rows are the sampler's own,
+        shared copy-on-write.  From this call on, the update loops copy
+        a row before they first write it (:func:`_own_rows`), so
+        ingesting more never changes the snapshot, and a capture costs
+        the rows the drive wrote since the previous one.  The rows are
+        read-only: no caller may write them, since a write would reach
+        the live sampler and every other snapshot sharing the row.
         """
-        return {u: dict(nbrs) for u, nbrs in self._adj.items()}
+        self._owned = set()
+        return self._adj.copy()
 
     def records(self) -> Iterator[EdgeRecord]:
         """Records of all currently sampled edges (materialised views)."""
@@ -1259,6 +1315,7 @@ class CompactInStreamEstimator:
         sampler._codes_stale = True  # this loop admits past the screen
         adj = sampler._adj
         adj_get = adj.get
+        owned = sampler._owned
         su = sampler._su
         sv = sampler._sv
         wts = sampler._weight
@@ -1429,6 +1486,8 @@ class CompactInStreamEstimator:
                     arr[s] = arrivals
                     cov_tri[s] = 0.0
                     cov_wedge[s] = 0.0
+                    if owned is not None:
+                        _own_rows(adj, owned, u, v)
                     nu = adj_get(u)
                     if nu is None:
                         adj[u] = {v: s}
@@ -1447,6 +1506,8 @@ class CompactInStreamEstimator:
                         threshold = root_prio
                     eu = su[s]
                     ev = sv[s]
+                    if owned is not None:
+                        _own_rows(adj, owned, eu, ev, u, v)
                     d = adj[eu]
                     del d[ev]
                     if not d:
@@ -1535,7 +1596,7 @@ class CompactInStreamEstimator:
         return self._sampler.snapshot_arrays(out)
 
     def snapshot_adjacency(self) -> Dict[Node, Dict[Node, int]]:
-        """Order-preserving slot-adjacency copy (see the sampler's method)."""
+        """Copy-on-write slot-adjacency view (see the sampler's method)."""
         return self._sampler.snapshot_adjacency()
 
     # ------------------------------------------------------------------

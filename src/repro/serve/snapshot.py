@@ -1,4 +1,4 @@
-"""Versioned, copy-on-read snapshots of a live GPS reservoir.
+"""Versioned, immutable snapshots of a live GPS reservoir.
 
 The serving layer's central mechanism.  Ingestion mutates the compact
 slot arrays continuously; queries must never observe a half-applied
@@ -10,14 +10,18 @@ counter.  Readers grab the latest snapshot with one lock acquisition
 and then work entirely on private copies; a reader holding epoch *k*
 keeps a consistent view forever, no matter how far ingestion advances.
 
-Snapshots are cheap on the write side (``snapshot_arrays`` copies five
-flat columns plus the order-preserving slot adjacency) and lazy on the
-read side: the object-graph view and the retrospective estimate bundle
-are materialised at most once per snapshot, on first use, and cached.
-The store double-buffers the column arrays — when a snapshot is
-garbage-collected its buffers return to a small free list, so a
-steady-state service recycles two arenas instead of allocating per
-publication.
+Snapshots are cheap on the write side.  ``snapshot_arrays`` copies five
+flat columns and the two label lists; ``snapshot_adjacency`` copies only
+the outer node → row map and shares every row with the live sampler,
+copy-on-write: after a capture the sampler copies a row before it first
+writes it.  So a publish pays for the rows the drive wrote since the
+previous one, never for the whole adjacency, and a snapshot's rows are
+read-only.  Snapshots are lazy on the read side: the object-graph view
+and the retrospective estimate bundle are materialised at most once per
+snapshot, on first use, and cached.  The store double-buffers the
+column arrays — when a snapshot is garbage-collected its buffers return
+to a small free list, so a steady-state service recycles two arenas
+instead of allocating fresh columns per publication.
 """
 
 from __future__ import annotations
@@ -42,8 +46,10 @@ class SampleSnapshot:
     :class:`~repro.core.local.LocalTriangleEstimator` and
     :class:`~repro.core.motifs.MotifCensusEstimator` — and their
     answers are bit-identical to a batch run over the same stream
-    prefix, because the copied adjacency preserves the slot dict's
-    insertion order (float accumulation order included).
+    prefix, because the snapshot adjacency preserves the slot dicts'
+    insertion orders (float accumulation order included).  Its rows
+    are shared with the live sampler and later snapshots, so they are
+    read-only.
     """
 
     __slots__ = (

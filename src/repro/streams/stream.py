@@ -387,19 +387,6 @@ class EdgeStream:
             return EdgeStream.from_columns(us[:length], vs[:length])
         return EdgeStream(self._edges[:length])
 
-    def prefix_graph(self, length: Optional[int] = None) -> AdjacencyGraph:
-        """The (simple) graph formed by the first ``length`` arrivals."""
-        edges = self._pairs()
-        upto = len(edges) if length is None else length
-        return AdjacencyGraph(edges[:upto])
-
-    def enumerate(self, start: int = 1) -> Iterator[Tuple[int, Tuple[Node, Node]]]:
-        """Iterate ``(t, (u, v))`` with arrival index ``t`` starting at 1."""
-        t = start
-        for edge in self._pairs():
-            yield t, edge
-            t += 1
-
     def checkpoints(self, count: int) -> List[int]:
         """``count`` evenly spaced arrival indices ending at the stream end.
 

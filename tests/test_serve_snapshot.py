@@ -1,9 +1,10 @@
 """Snapshot surface: ``snapshot_arrays`` bit-equivalence + the store.
 
-Satellite 1 of the serving PR: the cheap dtype-pinned snapshot must
-carry exactly the state ``CompactSample.materialize()`` exposes — same
-records, same priorities, same dict iteration orders — and the
-epoch store must publish, recycle and wake waiters correctly.
+The cheap dtype-pinned snapshot must carry exactly the state
+``CompactSample.materialize()`` exposes — same records, same
+priorities, same dict iteration orders — a held snapshot must never
+change while its copy-on-write rows are shared with the live sampler,
+and the epoch store must publish, recycle and wake waiters correctly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ from repro.core.compact import (
     make_in_stream_estimator,
 )
 from repro.core.post_stream import PostStreamEstimator
-from repro.core.weights import TriangleWeight, UniformWeight
+from repro.core.weights import (
+    AttributeWeight,
+    TriangleWeight,
+    UniformWeight,
+    WedgeWeight,
+)
 from repro.graph.generators import powerlaw_cluster
 from repro.serve.snapshot import SampleSnapshot, SnapshotStore
 from repro.streams.stream import EdgeStream
@@ -266,3 +272,95 @@ def test_recycled_buffer_round_trips_bit_identically():
     batch = PostStreamEstimator(sampler).estimate()
     assert served.triangles == batch.triangles
     assert served.wedges == batch.wedges
+
+
+# ----------------------------------------------------------------------
+# Copy-on-write publication: shared rows, frozen snapshots
+# ----------------------------------------------------------------------
+_WEIGHTS = {
+    "uniform": UniformWeight,
+    "triangle": TriangleWeight,
+    "wedge": WedgeWeight,
+    "attribute": lambda: AttributeWeight(lambda u, v: 1.0 + (7 * u + v) % 5),
+}
+
+
+def _orders(adjacency):
+    """An adjacency's outer and inner orders, as a deep nested copy."""
+    return [(u, list(nbrs.items())) for u, nbrs in adjacency.items()]
+
+
+def _feed(counter, block, drive):
+    if drive == "process_chunk":
+        us, vs = zip(*block)
+        counter.process_chunk(
+            np.array(us, dtype=np.int32), np.array(vs, dtype=np.int32)
+        )
+    else:
+        assert drive == "process_many"
+        counter.process_many(block)
+
+
+@pytest.mark.parametrize("drive", ["process_many", "process_chunk"])
+@pytest.mark.parametrize("counter_kind", ["sampler", "in-stream"])
+@pytest.mark.parametrize("weight", sorted(_WEIGHTS))
+def test_held_snapshots_equal_their_capture(weight, counter_kind, drive):
+    weight_fn = _WEIGHTS[weight]()
+    if counter_kind == "in-stream":
+        counter = make_in_stream_estimator(60, weight_fn=weight_fn, seed=5)
+        sampler = counter.sampler
+    else:
+        counter = sampler = CompactGraphPrioritySampler(
+            60, weight_fn=weight_fn, seed=5
+        )
+    edges = _stream()
+    held = []
+    for at in range(0, len(edges), 40):
+        _feed(counter, edges[at:at + 40], drive)
+        snapshot = SampleSnapshot.capture(counter)
+        frozen = _orders(snapshot.adjacency)
+        assert frozen == _orders(sampler._adj)
+        post = (
+            PostStreamEstimator(sampler).estimate()
+            if counter is sampler else None
+        )
+        held.append((snapshot, frozen, post))
+    assert sampler.threshold > 0.0  # later blocks evicted sampled edges
+    for snapshot, frozen, post in held:
+        assert _orders(snapshot.adjacency) == frozen
+        if post is not None:
+            assert snapshot.estimates() == post
+
+
+def test_rows_unwritten_between_captures_are_shared():
+    sampler = _sampler(weight=UniformWeight)
+    edges = _stream()
+    sampler.process_many(edges[:300])
+    first = sampler.snapshot_adjacency()
+    before = set(sampler.sampled_edges())
+    sampler.process_many(edges[300:340])
+    second = sampler.snapshot_adjacency()
+    left = before - set(sampler.sampled_edges())
+    assert left  # the interval evicted sampled edges
+    written = {x for edge in edges[300:340] for x in edge}
+    written |= {x for edge in left for x in edge}
+    untouched = [x for x in second if x in first and x not in written]
+    assert len(untouched) > len(second) // 2
+    for x in untouched:
+        assert second[x] is first[x]
+
+
+def test_owned_rows_stay_bounded_without_further_captures():
+    # One capture, then ~20k arrivals: the admits after it touch ~280
+    # distinct nodes, while the reservoir never holds more than 40 rows.
+    graph = powerlaw_cluster(10000, 2, 0.3, seed=4)
+    edges = list(EdgeStream.from_graph(graph, seed=1))
+    sampler = _sampler(capacity=20, weight=UniformWeight)
+    sampler.process_many(edges[:20])
+    sampler.snapshot_adjacency()
+    sampler.process_many(edges[20:])
+    rows = len(sampler._adj)
+    assert rows <= 40
+    # Pruned once past twice the live rows plus 64; an admit then adds
+    # up to 4 nodes and may delete 2 rows.
+    assert len(sampler._owned) <= 2 * (rows + 2) + 64 + 4

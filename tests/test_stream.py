@@ -42,18 +42,6 @@ class TestSlicing:
         assert list(stream[1:]) == [(1, 2), (2, 3)]
         assert isinstance(stream[1:], EdgeStream)
 
-    def test_prefix_graph(self):
-        stream = EdgeStream.from_edges([(0, 1), (1, 2), (2, 0), (3, 4)])
-        prefix = stream.prefix_graph(3)
-        assert prefix.num_edges == 3
-        assert prefix.has_edge(2, 0)
-        full = stream.prefix_graph()
-        assert full.num_edges == 4
-
-    def test_enumerate_is_one_based(self):
-        stream = EdgeStream.from_edges([(0, 1), (1, 2)])
-        assert list(stream.enumerate()) == [(1, (0, 1)), (2, (1, 2))]
-
 
 class TestCheckpoints:
     def test_checkpoints_end_at_stream_length(self):

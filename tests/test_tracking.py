@@ -19,6 +19,7 @@ from repro.api.registry import method_specs, weight_names
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.io import iter_edge_list, read_edge_columns
+from repro.streams import stream as stream_module
 from repro.streams.stream import EdgeStream
 from repro.streams.transforms import simplify_edges
 
@@ -116,9 +117,12 @@ def test_track_points_equal_the_oracle(populations, name, method, weight,
     spec = RunSpec(source=source, method=method, weight=weight, budget=40,
                    stream_seed=stream_seed, sampler_seed=5, checkpoints=7)
     report = run(spec, graph=graph)
-    arrivals = _arrivals(source, graph, stream_seed)
+    _assert_oracle(report, _arrivals(source, graph, stream_seed), 7)
+
+
+def _assert_oracle(report, arrivals, checkpoints):
     marks = [point.position for point in report.tracking]
-    assert marks == EdgeStream(arrivals).checkpoints(7)
+    assert marks == EdgeStream(arrivals).checkpoints(checkpoints)
     expected = oracle_prefix_counts(arrivals, marks)
     assert [
         (point.exact_triangles, point.exact_clustering)
@@ -128,6 +132,30 @@ def test_track_points_equal_the_oracle(populations, name, method, weight,
         for triangles, wedges in expected
     ]
     assert expected[-1][0] > 0
+
+
+@pytest.mark.parametrize("method,weight", [
+    ("gps", None), ("triest", None), ("gps-post", "triangle"),
+])
+def test_scalar_tracking_permutes_columns(populations, monkeypatch,
+                                          method, weight):
+    """A scalar pass over an integer file gathers its int32 columns.
+
+    Its exact series needs them, so they are never rebuilt from the
+    permuted tuples.
+    """
+    source, _ = populations["dirty-file"]
+    arrivals = _arrivals(source, None, 3)
+
+    def refuse(edges):
+        raise AssertionError("columns rebuilt from tuples")
+
+    monkeypatch.setattr(stream_module, "columnar_or_none", refuse)
+    spec = RunSpec(source=source, method=method, weight=weight, budget=40,
+                   stream_seed=3, sampler_seed=5, checkpoints=7)
+    report = run(spec)
+    assert report.pipeline == "scalar"
+    _assert_oracle(report, arrivals, 7)
 
 
 def test_report_timing_excludes_ground_truth(monkeypatch):
