@@ -43,7 +43,9 @@ from typing import (
     Tuple,
 )
 
-from repro.api.registry import MethodSpec, get_method, get_weight
+from repro.api.registry import (
+    GpsPostStreamAdapter, MethodSpec, get_method, get_weight,
+)
 from repro.api.spec import RunSpec
 from repro.core.compact import CompactInStreamEstimator
 from repro.core.estimates import GraphEstimates
@@ -492,7 +494,8 @@ def run(
     include_post:
         For tracking passes of GPS methods: also record the post-stream
         estimate bundle at every checkpoint (one Algorithm-2 evaluation
-        per mark, so off by default).
+        per mark, so off by default; gps-post computes that bundle for
+        its estimate anyway).
     faults:
         Optional :class:`~repro.faults.FaultPlan` (or shared
         :class:`~repro.faults.FaultInjector`) consulted when a
@@ -922,9 +925,17 @@ def _run_tracking(
     points: List[TrackPoint] = []
     is_gps = isinstance(counter, IN_STREAM_TYPES)
     sampler = getattr(counter, "sampler", None)
+    # One Algorithm-2 pass per mark serves gps-post's estimate and the
+    # include_post bundle; the last (the stream's end) serves the report.
+    is_post = isinstance(counter, GpsPostStreamAdapter)
+    bundles: List[Optional[GraphEstimates]] = []
 
     def record(position: int) -> None:
         triangles, wedges = next(exact)
+        post = None
+        if is_post or (include_post and sampler is not None):
+            post = PostStreamEstimator(sampler).estimate()
+        bundles.append(post)
         points.append(
             TrackPoint(
                 position=position,
@@ -932,13 +943,12 @@ def _run_tracking(
                 exact_clustering=(
                     3.0 * triangles / wedges if wedges else 0.0
                 ),
-                estimate=float(counter.triangle_estimate),
-                in_stream=counter.estimates() if is_gps else None,
-                post_stream=(
-                    PostStreamEstimator(sampler).estimate()
-                    if include_post and sampler is not None
-                    else None
+                estimate=(
+                    post.triangles.value if is_post
+                    else float(counter.triangle_estimate)
                 ),
+                in_stream=counter.estimates() if is_gps else None,
+                post_stream=post if include_post else None,
             )
         )
 
@@ -949,6 +959,7 @@ def _run_tracking(
         spec, mode="track", method=method, counter=counter, stats=stats,
         tracking=tuple(points),
         pipeline="chunked" if chunk_size else "scalar",
+        post_stream=bundles[-1] if stats.edges in marks[-1:] else None,
     )
 
 
@@ -961,16 +972,16 @@ def _finish_report(
     stats: EngineStats,
     tracking: Tuple[TrackPoint, ...] = (),
     pipeline: str = "scalar",
+    post_stream: Optional[GraphEstimates] = None,  # at the final state
 ) -> RunReport:
     sampler = getattr(counter, "sampler", None)
     in_stream = (
         counter.estimates() if isinstance(counter, IN_STREAM_TYPES) else None
     )
-    post_stream = (
-        PostStreamEstimator(sampler).estimate()
-        if sampler is not None and method.wants_post_stream
-        else None
-    )
+    if sampler is None or not method.wants_post_stream:
+        post_stream = None
+    elif post_stream is None:
+        post_stream = PostStreamEstimator(sampler).estimate()
     if method.from_bundles is not None and (
         in_stream is not None or post_stream is not None
     ):

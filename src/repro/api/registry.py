@@ -393,8 +393,8 @@ class GpsPostStreamAdapter:
     ``triangle_estimate`` runs Algorithm 2 retrospectively over the
     current reservoir, so the adapter reports post-stream estimates at
     any point of the pass.  Works over either reservoir core (compact or
-    object) — Algorithm 2 consumes the sample through the shared
-    protocol.
+    object): Algorithm 2 reads the compact core's slots and the object
+    core's records.
     """
 
     __slots__ = ("sampler",)

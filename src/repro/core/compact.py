@@ -40,11 +40,12 @@ from __future__ import annotations
 
 import random
 from heapq import heappush, heapreplace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as _np
 
 from repro.core.estimates import GraphEstimates
+from repro.core.post_stream import sampled_edges
 from repro.core.records import EdgeRecord
 from repro.core.weights import (
     TriangleWeight,
@@ -110,15 +111,37 @@ def _own_rows(
             owned.add(x)
 
 
+def materialize_slots(
+    adjacency: Dict[Node, Dict[Node, int]],
+    record_of: Callable[[int], EdgeRecord],
+):
+    """A :class:`~repro.core.reservoir.SampledGraph` of a slot adjacency,
+    in its dict orders, with one shared ``record_of(slot)`` per slot."""
+    from repro.core.reservoir import SampledGraph
+
+    records: Dict[int, EdgeRecord] = {}
+    adj: Dict[Node, Dict[Node, EdgeRecord]] = {}
+    for u, nbrs in adjacency.items():
+        row: Dict[Node, EdgeRecord] = {}
+        for v, slot in nbrs.items():
+            record = records.get(slot)
+            if record is None:
+                record = records[slot] = record_of(slot)
+            row[v] = record
+        adj[u] = row
+    return SampledGraph.from_adjacency(adj, len(records))
+
+
 class CompactSample:
     """Live :class:`~repro.core.reservoir.SampledGraph`-protocol view.
 
-    Weight functions outside the inlined families, Algorithm 2, and the
-    retrospective estimators (:mod:`repro.core.subgraphs`,
-    :mod:`repro.core.motifs`, :mod:`repro.core.local`) all consume the
-    sample through this protocol.  Topology queries (``degree``,
-    ``common_neighbor_count``, ``has_edge``) read the slot adjacency
-    directly; record-yielding queries materialise
+    Weight functions outside the inlined families and the
+    record-reading estimators (:mod:`repro.core.subgraphs`,
+    :mod:`repro.core.motifs`, :mod:`repro.core.local`) consume the
+    sample through this protocol; Algorithm 2 reads the slots
+    (:meth:`CompactGraphPrioritySampler.slot_view`).  Topology queries
+    (``degree``, ``common_neighbor_count``, ``has_edge``) read the slot
+    adjacency directly; record-yielding queries materialise
     :class:`~repro.core.records.EdgeRecord` values on demand — a
     cold-path convenience, not something the update loop ever does.
     Materialised records are snapshots: mutating them does not write back
@@ -175,12 +198,8 @@ class CompactSample:
     def records(self) -> Iterator[EdgeRecord]:
         """Each sampled edge once, in the object core's iteration order."""
         materialize = self._sampler._materialize
-        seen_at_u = set()
-        for u, nbrs in self._sampler._adj.items():
-            seen_at_u.add(u)
-            for v, slot in nbrs.items():
-                if v not in seen_at_u:
-                    yield materialize(slot)
+        edges = sampled_edges(self._sampler)[1]
+        return (materialize(slot) for _, _, slot in edges)
 
     def triangles_with(
         self, u: Node, v: Node
@@ -209,31 +228,12 @@ class CompactSample:
                 yield materialize(slot)
 
     def materialize(self):
-        """One-shot object-core snapshot with identical iteration orders.
-
-        Builds a real :class:`~repro.core.reservoir.SampledGraph` whose
-        outer and inner dict orders copy the slot adjacency exactly,
-        with one shared :class:`EdgeRecord` per slot — so Algorithm 2
-        and the other retrospective estimators traverse it in the very
-        order the object core would (bit-identical accumulation) while
-        paying O(m) materialisation once, instead of allocating fresh
-        records on every :meth:`neighbors` call inside their loops.
-        """
-        from repro.core.reservoir import SampledGraph
-
-        sampler = self._sampler
-        materialize = sampler._materialize
-        records: Dict[int, EdgeRecord] = {}
-        adj: Dict[Node, Dict[Node, EdgeRecord]] = {}
-        for u, nbrs in sampler._adj.items():
-            row: Dict[Node, EdgeRecord] = {}
-            for v, slot in nbrs.items():
-                record = records.get(slot)
-                if record is None:
-                    record = records[slot] = materialize(slot)
-                row[v] = record
-            adj[u] = row
-        return SampledGraph.from_adjacency(adj, len(records))
+        """One-shot object-core snapshot with identical iteration orders
+        (:func:`materialize_slots`): the record-reading estimators pay
+        O(m) records once, not per :meth:`neighbors` call."""
+        return materialize_slots(
+            self._sampler._adj, self._sampler._materialize
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompactSample(nodes={self.num_nodes}, edges={self.num_edges})"
@@ -1194,6 +1194,11 @@ class CompactGraphPrioritySampler:
         self._owned = set()
         return self._adj.copy()
 
+    def slot_view(self) -> tuple:
+        """``(adjacency, u, v, weights)``: the live slot state Algorithm 2
+        reads (:func:`repro.core.post_stream.sampled_edges`), read-only."""
+        return self._adj, self._su, self._sv, self._weight[: len(self._heap)]
+
     def records(self) -> Iterator[EdgeRecord]:
         """Records of all currently sampled edges (materialised views)."""
         return self._view.records()
@@ -1218,19 +1223,9 @@ class CompactGraphPrioritySampler:
 
     def normalized_probabilities(self) -> Dict[EdgeKey, float]:
         """GPSNormalize: canonical edge key → min{1, w/z*}."""
-        threshold = self._threshold
-        weight = self._weight
-        out: Dict[EdgeKey, float] = {}
-        su = self._su
-        sv = self._sv
-        for slot in self._heap:
-            if threshold <= 0.0:
-                p = 1.0
-            else:
-                ratio = weight[slot] / threshold
-                p = ratio if ratio < 1.0 else 1.0
-            out[canonical_edge(su[slot], sv[slot])] = p
-        return out
+        p = sampled_edges(self)[2]
+        su, sv = self._su, self._sv
+        return {canonical_edge(su[s], sv[s]): p[s] for s in self._heap}
 
     def sampled_edges(self) -> Iterator[EdgeKey]:
         for slot in self._heap:
@@ -1706,5 +1701,6 @@ __all__ = [
     "SlotArrays",
     "make_in_stream_estimator",
     "make_priority_sampler",
+    "materialize_slots",
     "validate_core",
 ]

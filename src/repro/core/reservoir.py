@@ -82,6 +82,11 @@ class SampledGraph:
     def num_nodes(self) -> int:
         return len(self._adj)
 
+    @property
+    def adjacency(self) -> Dict[Node, Dict[Node, EdgeRecord]]:
+        """The live ``node → {neighbour → record}`` map (read-only)."""
+        return self._adj
+
     def has_edge(self, u: Node, v: Node) -> bool:
         nbrs = self._adj.get(u)
         return nbrs is not None and v in nbrs
@@ -160,15 +165,14 @@ _EMPTY: Dict[Node, EdgeRecord] = {}
 
 
 def snapshot_view(sample) -> "SampledGraph":
-    """A traversal-stable, allocation-cheap view for retrospective passes.
+    """A traversal-stable view for the record-reading estimators.
 
     Object-core :class:`SampledGraph` instances come back as-is; compact
-    views are materialised once
-    (:meth:`repro.core.compact.CompactSample.materialize`), so estimator
-    loops that call ``neighbors``/``records`` per sampled edge pay O(m)
-    record construction up front instead of allocating on every call.
-    Iteration orders are identical either way, keeping the retrospective
-    estimates bit-exact across cores.
+    views are materialised once (``CompactSample.materialize``), so the
+    local, motif and subgraph loops pay O(m) record construction up
+    front instead of on every ``neighbors`` call.
+    Iteration orders are identical either way, keeping their estimates
+    bit-exact across cores.
     """
     materialize = getattr(sample, "materialize", None)
     return materialize() if materialize is not None else sample

@@ -16,12 +16,12 @@ the outer node → row map and shares every row with the live sampler,
 copy-on-write: after a capture the sampler copies a row before it first
 writes it.  So a publish pays for the rows the drive wrote since the
 previous one, never for the whole adjacency, and a snapshot's rows are
-read-only.  Snapshots are lazy on the read side: the object-graph view
-and the retrospective estimate bundle are materialised at most once per
-snapshot, on first use, and cached.  The store double-buffers the
-column arrays — when a snapshot is garbage-collected its buffers return
-to a small free list, so a steady-state service recycles two arenas
-instead of allocating fresh columns per publication.
+read-only.  Snapshots are lazy on the read side: the Algorithm-2 bundle
+(read off the captured rows and columns) and the object graph of the
+local and motif queries are each built at most once, on first use.  The
+store double-buffers the column arrays — when a snapshot is garbage-
+collected its buffers return to a small free list, so a steady-state
+service recycles two arenas instead of allocating fresh columns.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ import threading
 import weakref
 from typing import Any, Dict, List, Optional
 
-from repro.core.compact import SlotArrays
+from repro.core.compact import SlotArrays, materialize_slots
 from repro.core.estimates import GraphEstimates
-from repro.core.records import EdgeRecord
 from repro.graph.edge import Node
 
 
@@ -40,8 +39,9 @@ class SampleSnapshot:
     """One immutable, epoch-stamped view of a GPS reservoir.
 
     Implements the sampler read protocol (``sample`` / ``threshold`` /
-    ``stream_position`` / ``sample_size``) that the retrospective
-    estimators consume, so a snapshot plugs directly into
+    ``stream_position`` / ``sample_size``, and ``slot_view`` for
+    Algorithm 2) that the retrospective estimators consume, so a
+    snapshot plugs directly into
     :class:`~repro.core.post_stream.PostStreamEstimator`,
     :class:`~repro.core.local.LocalTriangleEstimator` and
     :class:`~repro.core.motifs.MotifCensusEstimator` — and their
@@ -124,39 +124,27 @@ class SampleSnapshot:
     def threshold(self) -> float:
         return self.arrays.threshold
 
+    def slot_view(self) -> tuple:
+        """``(adjacency, u, v, weights)`` as captured, for Algorithm 2:
+        the compact sampler's ``slot_view`` frozen at capture."""
+        arrays = self.arrays
+        weights = arrays.weight[: arrays.size].tolist()
+        return self.adjacency, arrays.u, arrays.v, weights
+
     @property
     def sample(self) -> Any:
         """The materialised object-graph view (built once, cached)."""
         return self.materialize()
 
     def materialize(self) -> Any:
-        """Object-core view with the slot adjacency's iteration orders.
-
-        The frozen twin of
-        :meth:`repro.core.compact.CompactSample.materialize`: one shared
-        :class:`EdgeRecord` per live slot, outer and inner dict orders
-        copied from the reservoir at capture time, so every
-        retrospective accumulation visits records in the exact order a
-        batch pass over the same prefix would.
-        """
-        graph = self._graph
-        if graph is None:
-            from repro.core.reservoir import SampledGraph
-
-            record_of = self.arrays.record
-            records: Dict[int, EdgeRecord] = {}
-            adj: Dict[Node, Dict[Node, EdgeRecord]] = {}
-            for u, nbrs in self.adjacency.items():
-                row: Dict[Node, EdgeRecord] = {}
-                for v, slot in nbrs.items():
-                    record = records.get(slot)
-                    if record is None:
-                        record = records[slot] = record_of(slot)
-                    row[v] = record
-                adj[u] = row
-            graph = SampledGraph.from_adjacency(adj, len(records))
-            self._graph = graph
-        return graph
+        """Object-core view with the captured adjacency's iteration
+        orders, the frozen twin of
+        :meth:`repro.core.compact.CompactSample.materialize`."""
+        if self._graph is None:
+            self._graph = materialize_slots(
+                self.adjacency, self.arrays.record
+            )
+        return self._graph
 
     # ------------------------------------------------------------------
     # Estimates
@@ -166,8 +154,9 @@ class SampleSnapshot:
 
         In-stream counters answer O(1) from the bundle frozen at
         capture; bare samplers answer with one retrospective
-        (Algorithm 2) pass over the materialised view, computed on
-        first call and cached on the snapshot.
+        (Algorithm 2) pass over the captured adjacency and columns
+        (:meth:`slot_view`, no records built), computed on first call
+        and cached on the snapshot.
         """
         if self._in_stream is not None:
             return self._in_stream

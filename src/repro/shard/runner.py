@@ -17,11 +17,12 @@ One sharded pass is:
    with budget ``m/S`` and its own seed (``sampler_seed·S + s``, so
    replications never collide with shard offsets), chunked or scalar
    as :func:`repro.api.execution.chunk_size_for` decides for the pass;
-4. **merge** — per-shard reservoirs are read out as ``(u, v, p)``
-   records at the owner shard's final threshold and fed to
-   :func:`repro.stats.merge.merge_estimates`, the union Algorithm-2
-   pass; the result assembles into an ordinary
-   :class:`~repro.core.estimates.GraphEstimates` bundle.
+4. **merge** — per-shard reservoirs are read off their slots as
+   ``(u, v, p)`` records at the owner shard's final threshold, in the
+   sampler's record order, and fed to
+   :func:`repro.stats.merge.merge_estimates`, which runs the one
+   Algorithm-2 loop over their union; the result assembles into an
+   ordinary :class:`~repro.core.estimates.GraphEstimates` bundle.
 
 A pass is one unit of work: the S shards are driven one after another
 in the calling process.  Parallelism lives one level up — the replicated
@@ -32,12 +33,12 @@ runs and sweep grids that contain sharded passes fan them out through
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.compact import DEFAULT_CORE, validate_core
 from repro.core.estimates import GraphEstimates
-from repro.core.reservoir import snapshot_view
+from repro.core.post_stream import sampled_edges
 from repro.core.weights import WeightFunction
 from repro.engine.stream_engine import StreamEngine
 from repro.shard.router import shard_columns, split_stream
@@ -86,15 +87,12 @@ class ShardedResult:
 
 
 def _extract_sample(counter: Any) -> Tuple[List[ShardRecord], int, float]:
-    """A shard's reservoir as ``(u, v, p)`` records at its threshold."""
+    """A shard's reservoir as ``(u, v, p)`` records at its threshold,
+    read off its slots in record order."""
     sampler = getattr(counter, "sampler", counter)
-    threshold = sampler.threshold
-    view = snapshot_view(sampler.sample)
-    records = [
-        (record.u, record.v, record.inclusion_probability(threshold))
-        for record in view.records()
-    ]
-    return records, sampler.sample_size, threshold
+    _, edges, p = sampled_edges(sampler)
+    records = [(u, v, p[key]) for u, v, key in edges]
+    return records, sampler.sample_size, sampler.threshold
 
 
 def _int_labelled(population: EdgeStream) -> bool:
@@ -263,15 +261,9 @@ class ShardedRunner:
             samples.append(records)
             sizes.append(size)
             thresholds.append(threshold)
-        merged = merge_estimates(samples)
         estimates = GraphEstimates.from_raw(
-            triangle_count=merged.triangle_count,
-            triangle_variance=merged.triangle_variance,
-            wedge_count=merged.wedge_count,
-            wedge_variance=merged.wedge_variance,
-            tri_wedge_covariance=merged.tri_wedge_covariance,
+            **asdict(merge_estimates(samples)),
             stream_position=len(self._population),
-            sample_size=merged.sample_size,
             threshold=max(thresholds) if thresholds else 0.0,
         )
         return ShardedResult(

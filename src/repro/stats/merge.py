@@ -71,15 +71,23 @@ def merge_estimates(
     ``(u, v, p)`` with ``p`` the edge's inclusion probability at that
     shard's final threshold.  The shards must partition the edge set —
     an edge reported by two shards means the router was not applied and
-    raises.  Iteration order is the given record order (insertion-
-    ordered dicts), so the merge is deterministic for deterministic
-    inputs.
+    raises, as do a self loop and ``p`` outside ``(0, 1]``.  The union
+    runs through the one Algorithm-2 loop,
+    :func:`repro.core.post_stream.algorithm2`, in the given record order
+    (insertion-ordered dicts), so the merge is deterministic for
+    deterministic inputs.
 
     With a single shard this reproduces the single-sampler post-stream
-    estimate (up to float summation order).
+    estimate up to float summation order: the union rebuilds each
+    adjacency row in record order, where the sampler's rows keep their
+    insertion order.
     """
-    adjacency: Dict[Hashable, Dict[Hashable, float]] = {}
-    edge_list: List[Tuple[Hashable, Hashable, float]] = []
+    # Lazy: repro.core imports this package while it loads.
+    from repro.core.post_stream import algorithm2
+
+    adjacency: Dict[Hashable, Dict[Hashable, int]] = {}
+    inverse: List[float] = []
+    edges: List[Tuple[Hashable, Hashable, int]] = []
     for shard in shard_samples:
         for u, v, p in shard:
             if not 0.0 < p <= 1.0:
@@ -94,80 +102,14 @@ def merge_estimates(
                     f"sample (or is a self-loop); shards must partition "
                     f"the edge set"
                 )
-            inv_p = 1.0 / p
-            neighbors_u[v] = inv_p
-            adjacency.setdefault(v, {})[u] = inv_p
-            edge_list.append((u, v, inv_p))
-
-    triangle_sum = 0.0
-    triangle_var = 0.0
-    triangle_cov = 0.0
-    wedge_sum = 0.0
-    wedge_var = 0.0
-    wedge_cov = 0.0
-    cross_cov = 0.0
-
-    for v1, v2, inv_q in edge_list:
-        if len(adjacency[v1]) > len(adjacency[v2]):
-            v1, v2 = v2, v1
-
-        tri_cum = 0.0
-        wedge_cum = 0.0
-        tri_pair = 0.0
-        wedge_pair = 0.0
-        tri_local = 0.0
-        tri_var_local = 0.0
-        wedge_local = 0.0
-        wedge_var_local = 0.0
-        contained_sub = 0.0
-        contained_cov = 0.0
-
-        neighbors_v2 = adjacency[v2]
-        for v3, inv1 in adjacency[v1].items():
-            if v3 == v2:
-                continue
-            inv2 = neighbors_v2.get(v3)
-            if inv2 is not None:
-                pair_prod = inv1 * inv2
-                estimate = inv_q * pair_prod
-                tri_local += estimate
-                tri_var_local += estimate * (estimate - 1.0)
-                tri_pair += tri_cum * pair_prod
-                tri_cum += pair_prod
-                contained_sub += pair_prod * (inv1 + inv2)
-                contained_cov += estimate * (pair_prod - 1.0)
-            wedge_estimate = inv_q * inv1
-            wedge_local += wedge_estimate
-            wedge_var_local += wedge_estimate * (wedge_estimate - 1.0)
-            wedge_pair += wedge_cum * inv1
-            wedge_cum += inv1
-
-        for v3, inv2 in neighbors_v2.items():
-            if v3 == v1:
-                continue
-            wedge_estimate = inv_q * inv2
-            wedge_local += wedge_estimate
-            wedge_var_local += wedge_estimate * (wedge_estimate - 1.0)
-            wedge_pair += wedge_cum * inv2
-            wedge_cum += inv2
-
-        shared_factor = inv_q * (inv_q - 1.0)
-        triangle_sum += tri_local
-        triangle_var += tri_var_local
-        triangle_cov += 2.0 * shared_factor * tri_pair
-        wedge_sum += wedge_local
-        wedge_var += wedge_var_local
-        wedge_cov += 2.0 * shared_factor * wedge_pair
-        cross_cov += shared_factor * (tri_cum * wedge_cum - contained_sub)
-        cross_cov += contained_cov
+            key = len(edges)
+            neighbors_u[v] = key
+            adjacency.setdefault(v, {})[u] = key
+            inverse.append(1.0 / p)
+            edges.append((u, v, key))
 
     return MergedEstimates(
-        triangle_count=triangle_sum / 3.0,
-        triangle_variance=triangle_var / 3.0 + triangle_cov,
-        wedge_count=wedge_sum / 2.0,
-        wedge_variance=wedge_var / 2.0 + wedge_cov,
-        tri_wedge_covariance=cross_cov,
-        sample_size=len(edge_list),
+        **algorithm2(adjacency, inverse, edges), sample_size=len(edges)
     )
 
 

@@ -16,6 +16,7 @@ from exact_oracle import oracle_prefix_counts
 
 from repro.api import RunSpec, execution, run
 from repro.api.registry import method_specs, weight_names
+from repro.core.post_stream import PostStreamEstimator
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.io import iter_edge_list, read_edge_columns
@@ -175,3 +176,43 @@ def test_report_timing_excludes_ground_truth(monkeypatch):
     assert time.perf_counter() - started >= 0.5  # the kernel ran
     assert len(report.tracking) == 5
     assert report.elapsed_seconds < 0.5
+
+
+@pytest.mark.parametrize("method,include_post,passes", [
+    ("gps-post", False, 10),
+    ("gps-post", True, 10),
+    ("gps", True, 10),
+    ("gps", False, 1),
+    ("gps-in-stream", True, 10),
+])
+def test_one_algorithm2_pass_per_mark(populations, monkeypatch, method,
+                                      include_post, passes):
+    """gps-post's estimate and its ``include_post`` bundle share one
+    pass per mark, and the last mark's bundle (the stream's end) is the
+    report's."""
+    estimate = PostStreamEstimator.estimate
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return estimate(self)
+
+    source, _ = populations["dirty-file"]
+    spec = RunSpec(source=source, method=method, budget=40, stream_seed=3,
+                   sampler_seed=5, checkpoints=10)
+    expected = run(spec, include_post=include_post)
+    monkeypatch.setattr(PostStreamEstimator, "estimate", counted)
+    report = run(spec, include_post=include_post)
+    assert len(calls) == passes
+    assert report.tracking == expected.tracking
+    assert report.post_stream == expected.post_stream
+    assert report.estimates == expected.estimates
+    points = report.tracking
+    if include_post:
+        assert all(point.post_stream is not None for point in points)
+        if report.post_stream is not None:
+            assert report.post_stream == points[-1].post_stream
+    if method == "gps-post":
+        final = estimate(PostStreamEstimator(report.counter.sampler))
+        assert points[-1].estimate == final.triangles.value
+        assert report.post_stream == final
