@@ -170,11 +170,12 @@ class RunReport:
     replicated runs: the across-replication means); ``metrics`` carries
     per-metric error bars for replicated runs; ``tracking`` the checkpoint
     series for tracking runs.  Timing fields are the sampler's pass for
-    single/tracking runs, checkpoint callbacks included (a tracking
-    run's exact series is counted before it); for replicated runs they
-    cover the whole protocol wall-clock — including process-pool startup
-    and aggregation — so they measure the study, not the per-edge
-    update.  ``in_stream``/``post_stream`` hold the full
+    single/tracking runs, checkpoint callbacks and a scalar drive's
+    block-by-block conversion of int32 columns to pairs included (a
+    tracking run's exact series is counted before it); for replicated
+    runs they cover the whole protocol wall-clock — including
+    process-pool startup and aggregation — so they measure the study,
+    not the per-edge update.  ``in_stream``/``post_stream`` hold the full
     GPS estimate bundles (with variances and bounds) when the method
     exposes them.  ``counter`` is the live counter object of single/track
     passes — handy for checkpointing — and is excluded from serialisation.
@@ -538,14 +539,7 @@ def run(
         weight_fn=resolved_weight, core=spec.core,
     )
     chunk_size = chunk_size_for(method, resolved_weight, counter, population)
-    # A chunked pass permutes the int32 columns and never builds a tuple;
-    # a tracking pass counts its exact series on them, so it gathers
-    # them too when the population has them.
-    stream = population.permuted(
-        spec.stream_seed,
-        columns=chunk_size is not None
-        or (spec.checkpoints > 0 and population.has_columns),
-    )
+    stream = population.permuted(spec.stream_seed)
     if spec.checkpoints > 0:
         return _run_tracking(
             spec, method, counter, stream, include_post, chunk_size
@@ -762,8 +756,8 @@ def execute(
     Every distinct ``spec.source`` resolves once — from ``populations``
     when the caller already holds it, else from the dataset registry or
     the file — into one :class:`~repro.streams.stream.EdgeStream` that
-    every task of that source shares, so its columns and tuple view are
-    built at most once per process.  Inline execution holds one source
+    every task of that source shares, so its int32 columns are built at
+    most once per process.  Inline execution holds one source
     at a time (sweep specs come grouped by source).  In pool mode a
     population whose labels are all int32 ints is published once,
     straight from its columns, through
@@ -913,15 +907,15 @@ def _run_tracking(
 
     The exact series is counted before the pass, from the stream's
     int32 columns (labels that are not int32 ints interned to dense
-    ids first), and a batched drive's tuples are built before it too,
-    so the report's timing covers the sampler alone.
+    ids first), so the report's timing covers the sampler, and on a
+    batched drive over columns the conversion of each block to
+    Python int pairs too (a few ms per 200k edges).
     """
     marks = stream.checkpoints(spec.checkpoints)
     columns = stream.columnar()
     if columns is None:
         columns = columnar_or_none(NodeInterner().intern_edges(stream))
     exact = iter(prefix_counts(*columns, marks))
-    arrivals = stream if chunk_size else list(stream)
     points: List[TrackPoint] = []
     is_gps = isinstance(counter, IN_STREAM_TYPES)
     sampler = getattr(counter, "sampler", None)
@@ -953,7 +947,7 @@ def _run_tracking(
         )
 
     stats = StreamEngine(counter, chunk_size=chunk_size).run(
-        arrivals, checkpoints=marks, on_checkpoint=record
+        stream, checkpoints=marks, on_checkpoint=record
     )
     return _finish_report(
         spec, mode="track", method=method, counter=counter, stats=stats,

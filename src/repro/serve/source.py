@@ -213,10 +213,10 @@ class ResolvedSource:
         # Lazy import: execution pulls the dataset registry.
         from repro.api.execution import _resolve_edges
 
-        population = _resolve_edges(self._source, None)
-        columnar = population.columnar() is not None
-        stream = population.permuted(self._stream_seed, columns=columnar)
-        if not columnar and self.interner is None:
+        stream = _resolve_edges(self._source, None).permuted(
+            self._stream_seed
+        )
+        if stream.columnar() is None and self.interner is None:
             # Kept across passes: a restarted pump re-interns the same
             # arrival order, which hands out the same ids again.
             self.interner = NodeInterner()

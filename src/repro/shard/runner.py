@@ -4,14 +4,14 @@ One sharded pass is:
 
 1. **permute** — the stream permutation seeded exactly like every other
    entry point (:meth:`~repro.streams.stream.EdgeStream.permuted`: int32
-   columns whenever the population holds them, tuples otherwise, the
-   same arrival order either way);
+   columns whenever the labels convert, tuples otherwise, the same
+   arrival order either way);
 2. **route** — the seeded splitmix64 edge hash
    (:mod:`repro.shard.router`) assigns every canonical edge to one of
    ``S`` shards; boolean-mask selection over the columns keeps each
-   substream in arrival order, whatever the drive.  Only a tuple
-   population (labels outside int32, or columns never built) takes the
-   per-edge :func:`~repro.shard.router.split_stream`;
+   substream in arrival order, whatever the drive.  Only a population
+   with labels outside int32 takes the per-edge
+   :func:`~repro.shard.router.split_stream`;
 3. **drive** — each shard's substream runs through its own
    :class:`~repro.engine.stream_engine.StreamEngine` over a GPS sampler
    with budget ``m/S`` and its own seed (``sampler_seed·S + s``, so
@@ -96,8 +96,8 @@ def _extract_sample(counter: Any) -> Tuple[List[ShardRecord], int, float]:
 
 
 def _int_labelled(population: EdgeStream) -> bool:
-    """Whether every label is an int; free when columns are at hand."""
-    return population.has_columns or all(
+    """Whether every label is an int; free once columns are at hand."""
+    return population.columnar() is not None or all(
         isinstance(u, int) and isinstance(v, int) for u, v in population
     )
 
@@ -235,14 +235,14 @@ class ShardedRunner:
         chunk_size = execution.chunk_size_for(
             method, self._weight_fn, counters[0], self._population
         )
-        # Route on columns whenever the population holds them (every
-        # int32 file does), whatever the drive: a scalar shard pass
-        # iterates its substream's tuple view.  A tuple population is
-        # never converted just to be routed.
-        columnar = self._population.has_columns
-        stream = self._population.permuted(stream_seed, columns=columnar)
-        if columnar:
-            us, vs = stream.columnar()
+        # Every permutation of an int32 population holds its columns,
+        # whatever the drive, so it routes with shard_columns and each
+        # substream stays column-backed (a scalar shard drive reads it
+        # block by block).  Only labels outside int32 route per edge.
+        stream = self._population.permuted(stream_seed)
+        columns = stream.columnar()
+        if columns is not None:
+            us, vs = columns
             ids = shard_columns(us, vs, self._shards, self._router_seed)
             substreams = [
                 EdgeStream.from_columns(us[ids == s], vs[ids == s])

@@ -9,10 +9,13 @@ each graph").
 
 A stream is backed by ``(u, v)`` tuples or by int32 columns
 (:meth:`EdgeStream.from_columns`, what the columnar file reader and the
-shared-memory fan-out produce).  Each view is built from the other on
-first use and cached, so a column-backed stream feeds the chunked engine
-without a tuple ever existing, and a scalar pass pays for its tuples
-once per stream.
+shared-memory fan-out produce).  A tuple stream builds its columns on
+first use and caches them; a column-backed stream never builds a tuple
+list: iterating it yields plain-int pairs one ``DEFAULT_CHUNK_SIZE``
+block at a time and caches nothing, so the chunked engine reads the
+columns' blocks and a scalar pass reads pairs made fresh from them.
+Every seeded permutation of a stream whose labels convert gathers the
+columns, whatever drive then reads it.
 
 Every seeded arrival order is :func:`shuffled_indices`: the index array
 of ``random.Random(seed).shuffle(list(range(n)))``, replayed bit for bit
@@ -23,13 +26,18 @@ from __future__ import annotations
 
 import functools
 import random
+from itertools import chain, starmap
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.edge import Node
-from repro.streams.chunks import DEFAULT_CHUNK_SIZE, columnar_or_none
+from repro.streams.chunks import (
+    DEFAULT_CHUNK_SIZE,
+    columnar_or_none,
+    pairs_from_columns,
+)
 from repro.streams.interner import NodeInterner
 
 #: Bounds below this are drawn by a plain per-step loop: there a block's
@@ -245,8 +253,8 @@ class EdgeStream:
     def from_columns(cls, us, vs) -> "EdgeStream":
         """Stream over equal-length int32 columns, in their order.
 
-        The columns carry the labels themselves (no relabelling); the
-        tuple view is built only if something iterates the stream.
+        The columns carry the labels themselves (no relabelling), and
+        no tuple list is ever built from them.
 
         >>> import numpy as np
         >>> column = np.array([0, 1], dtype=np.int32)
@@ -260,27 +268,18 @@ class EdgeStream:
         stream._columns = (us, vs)
         return stream
 
-    def _pairs(self) -> List[Tuple[Node, Node]]:
-        """The tuple view, built from the columns once and cached."""
-        if self._edges is None:
-            us, vs = self._columns
-            self._edges = list(zip(us.tolist(), vs.tolist()))
-        return self._edges
-
-    def permuted(
-        self, seed: Optional[int], *, columns: bool = False
-    ) -> "EdgeStream":
+    def permuted(self, seed: Optional[int]) -> "EdgeStream":
         """The seeded arrival permutation of this stream.
 
         The edges are gathered through :func:`shuffled_indices`, the
         index order of ``random.Random(seed).shuffle``.  Fisher–Yates
         swaps are value-blind, so this is exactly what shuffling the
         edges themselves gives, and the order is the one every entry
-        point shares.  ``columns=True`` gathers the int32 columns (for
-        the chunked engine, which never needs a tuple); otherwise the
-        cached tuple view is gathered, so repeated scalar passes over
-        one population build it once.  ``seed=None`` keeps the order and
-        returns this stream.
+        point shares.  Whenever the labels convert (:meth:`columnar`,
+        built once per population and cached) the int32 columns are
+        gathered, so the permutation is column-backed for a chunked and
+        a scalar pass alike; only labels that do not convert gather
+        tuples.  ``seed=None`` keeps the order and returns this stream.
 
         >>> stream = EdgeStream([(0, 1), (1, 2), (2, 3)])
         >>> order = list(stream)
@@ -291,10 +290,11 @@ class EdgeStream:
         if seed is None:
             return self
         index = shuffled_indices(len(self), seed)
-        if columns:
-            us, vs = self._require_columns()
+        columns = self.columnar()
+        if columns is not None:
+            us, vs = columns
             return EdgeStream.from_columns(us[index], vs[index])
-        edges = self._pairs()
+        edges = self._edges
         return EdgeStream([edges[i] for i in index.tolist()])
 
     # ------------------------------------------------------------------
@@ -306,8 +306,9 @@ class EdgeStream:
         Succeeds only when every node label is already an int32-range
         integer — then the columns carry the original labels and the
         chunked pipeline is label-faithful (no interning).  The result
-        is cached: repeated :meth:`chunks` calls pay the conversion
-        once, and a column-backed stream never converts.
+        is cached, so however many :meth:`permuted` and :meth:`chunks`
+        calls follow, the conversion is paid once, and a column-backed
+        stream never converts.
 
         >>> EdgeStream([(0, 1), (1, 2)]).columnar()[0].tolist()
         [0, 1]
@@ -318,15 +319,6 @@ class EdgeStream:
             built = columnar_or_none(self._edges)
             self._columns = False if built is None else built
         return None if self._columns is False else self._columns
-
-    @property
-    def has_columns(self) -> bool:
-        """Whether int32 columns are at hand (labels are int32 ints).
-
-        Never builds them: true for column-backed streams and for tuple
-        streams whose :meth:`columnar` already succeeded.
-        """
-        return self._columns is not None and self._columns is not False
 
     def _require_columns(self):
         columns = self.columnar()
@@ -368,7 +360,11 @@ class EdgeStream:
     # Sequence-ish protocol
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[Tuple[Node, Node]]:
-        return iter(self._pairs())
+        """The arrivals in order; a column-backed stream converts one
+        block of plain-int pairs at a time and keeps none of them."""
+        if self._edges is not None:
+            return iter(self._edges)
+        return chain.from_iterable(starmap(pairs_from_columns, self.chunks()))
 
     def __len__(self) -> int:
         if self._edges is None:
@@ -376,16 +372,18 @@ class EdgeStream:
         return len(self._edges)
 
     def __getitem__(self, index):
+        if self._edges is not None:
+            if isinstance(index, slice):
+                return EdgeStream(self._edges[index])
+            return self._edges[index]
+        us, vs = self._columns
         if isinstance(index, slice):
-            return EdgeStream(self._pairs()[index])
-        return self._pairs()[index]
+            return EdgeStream.from_columns(us[index], vs[index])
+        return us[index].item(), vs[index].item()
 
     def prefix(self, length: int) -> "EdgeStream":
         """The first ``length`` arrivals as a new stream."""
-        if self._edges is None:
-            us, vs = self._columns
-            return EdgeStream.from_columns(us[:length], vs[:length])
-        return EdgeStream(self._edges[:length])
+        return self[:length]
 
     def checkpoints(self, count: int) -> List[int]:
         """``count`` evenly spaced arrival indices ending at the stream end.

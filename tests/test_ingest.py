@@ -17,6 +17,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -45,7 +46,7 @@ from repro.serve.service import SamplingService
 from repro.serve.source import FileTailSource, SocketLineSource
 from repro.serve.spec import ServeSpec
 from repro.shard.runner import ShardedRunner
-from repro.streams.chunks import iter_chunks
+from repro.streams.chunks import DEFAULT_CHUNK_SIZE, iter_chunks
 from repro.streams.stream import EdgeStream
 from repro.streams.transforms import simplify_columns, simplify_edges
 
@@ -277,14 +278,13 @@ def test_index_shuffle_equals_tuple_shuffle(n, seed):
     # The replica answers here, not the fail-safe reference loop.
     assert stream_module._replica_agrees()
     edges = [(i, (7 * i + 3) % 101) for i in range(n)]
-    expected = [edges[i] for i in _shuffled(n, seed)]
+    order = _shuffled(n, seed)
+    expected = [edges[i] for i in order]
     assert list(EdgeStream(edges).permuted(seed)) == expected
-    columns = EdgeStream.from_columns(
-        np.array([u for u, _ in edges], dtype=np.int32),
-        np.array([v for _, v in edges], dtype=np.int32),
-    )
-    for as_columns in (True, False):
-        assert list(columns.permuted(seed, columns=as_columns)) == expected
+    assert list(_column_twin(edges).permuted(seed)) == expected
+    # Labels past int32 do not convert, so their tuples are gathered.
+    wide = [(u + 2**31, v) for u, v in edges]
+    assert list(EdgeStream(wide).permuted(seed)) == [wide[i] for i in order]
 
 
 @settings(max_examples=80, deadline=None)
@@ -316,10 +316,10 @@ def test_wrong_replica_fails_safe(monkeypatch, fresh_self_check):
     )
     assert not fresh_self_check()
     edges = [(i, (3 * i + 1) % 53) for i in range(2000)]
-    expected = [edges[i] for i in _shuffled(len(edges), 9)]
-    stream = EdgeStream(edges)
-    assert list(stream.permuted(9)) == expected
-    assert list(stream.permuted(9, columns=True)) == expected
+    order = _shuffled(len(edges), 9)
+    assert list(EdgeStream(edges).permuted(9)) == [edges[i] for i in order]
+    wide = [(u + 2**31, v) for u, v in edges]
+    assert list(EdgeStream(wide).permuted(9)) == [wide[i] for i in order]
 
 
 def test_sizes_past_int32_take_the_reference(monkeypatch, fresh_self_check):
@@ -436,7 +436,8 @@ def test_chunked_file_path_builds_no_tuples(edge_file, monkeypatch):
         raise AssertionError("tuples materialised on the chunked path")
 
     monkeypatch.setattr(EdgeStream, "__init__", refuse)
-    monkeypatch.setattr(EdgeStream, "_pairs", refuse)
+    # A chunked pass never iterates pairs out of the columns either.
+    monkeypatch.setattr(stream_module, "pairs_from_columns", refuse)
     monkeypatch.setattr("repro.api.execution.iter_edge_list", refuse)
     spec = RunSpec(source=edge_file, method="gps-post", weight="uniform",
                    budget=60, stream_seed=1)
@@ -444,22 +445,124 @@ def test_chunked_file_path_builds_no_tuples(edge_file, monkeypatch):
     assert run(spec.replace(shards=2)).pipeline == "chunked"
 
 
-def test_scalar_tasks_share_one_tuple_view(edge_file, monkeypatch):
-    """Scalar replications over a column-backed file population build
-    its tuple view once, not once per task."""
-    builds = []
-    pairs = EdgeStream._pairs
+#: Report fields that time the pass; everything else must be identical.
+TIMING = ("elapsed_seconds", "update_time_us", "edges_per_second")
 
-    def counting(self):
-        if self._edges is None:
-            builds.append(len(self))
-        return pairs(self)
 
-    monkeypatch.setattr(EdgeStream, "_pairs", counting)
-    spec = RunSpec(source=edge_file, method="gps-post", weight="triangle",
-                   budget=60, stream_seed=1, replications=3, workers=0)
-    assert run(spec).pipeline == "scalar"
-    assert len(builds) == 1
+def _timeless(report):
+    out = report.to_dict()
+    for key in TIMING:
+        del out[key]
+    return out
+
+
+def test_scalar_file_passes_build_no_tuples(edge_file, tuples, monkeypatch):
+    """Scalar passes over an int32 file read its columns block by
+    block: with tuple-backed EdgeStream construction refused, every
+    single, tracking, replicated and sharded run equals the same spec
+    over the file's tuple list."""
+    specs = []
+    for param in _configurations():
+        method, weight = param.values
+        base = RunSpec(source=edge_file, method=method, weight=weight,
+                       budget=60, stream_seed=4, sampler_seed=9)
+        specs += [base, base.replace(checkpoints=3),
+                  base.replace(replications=2, workers=0)]
+    for weight in (None,) + weight_names():
+        for shards in (2, 4):
+            specs.append(RunSpec(source=edge_file, method="gps-post",
+                                 weight=weight, budget=60, stream_seed=6,
+                                 sampler_seed=2, shards=shards))
+    expected = [run(spec, graph=tuples) for spec in specs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tuple-backed EdgeStream was built")
+
+    monkeypatch.setattr(EdgeStream, "__init__", refuse)
+    reports = [run(spec) for spec in specs]
+    monkeypatch.undo()
+    assert "scalar" in {report.pipeline for report in reports}
+    for report, reference in zip(reports, expected):
+        _same_report(report, reference)
+        assert _timeless(report) == _timeless(reference)
+
+
+def _column_twin(edges):
+    return EdgeStream.from_columns(
+        np.array([u for u, _ in edges], dtype=np.int32),
+        np.array([v for _, v in edges], dtype=np.int32),
+    )
+
+
+def test_column_stream_protocol_matches_tuples(monkeypatch):
+    """Iteration, indexing, slicing, prefix and len of a column-backed
+    stream equal the tuple stream's, across block boundaries, and
+    slices and prefixes stay column-backed."""
+    n = 2 * DEFAULT_CHUNK_SIZE + 77
+    edges = [((7 * i) % 5003 - 2500, (11 * i + 3) % 4001) for i in range(n)]
+    tuples, columns = EdgeStream(edges), _column_twin(edges)
+    points = (0, 1, DEFAULT_CHUNK_SIZE - 1, DEFAULT_CHUNK_SIZE, n - 1, -1, -n)
+    edge = DEFAULT_CHUNK_SIZE  # a block boundary
+    cuts = [slice(a, b, step)
+            for a, b in [(0, 5), (edge - 3, edge + 3), (10, n - 10),
+                         (-20, None), (None, None), (5, 5)]
+            for step in (None, 3)]
+    lengths = (0, 1, DEFAULT_CHUNK_SIZE + 1, n, n + 5)
+    expected = (
+        list(tuples), [tuples[i] for i in points],
+        [list(tuples[cut]) for cut in cuts],
+        [(list(tuples.prefix(k)), len(tuples.prefix(k))) for k in lengths],
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tuple-backed EdgeStream was built")
+
+    monkeypatch.setattr(EdgeStream, "__init__", refuse)
+    assert len(columns) == len(tuples) == n
+    for _ in range(2):  # replayable
+        pairs = list(columns)
+        assert pairs == expected[0]
+        assert {type(x) for pair in pairs for x in pair} == {int}
+    assert [columns[i] for i in points] == expected[1]
+    assert {type(x) for i in points for x in columns[i]} == {int}
+    with pytest.raises(IndexError):
+        columns[n]
+    parts = [columns[cut] for cut in cuts]
+    assert [list(part) for part in parts] == expected[2]
+    heads = [columns.prefix(k) for k in lengths]
+    assert [(list(head), len(head)) for head in heads] == expected[3]
+    assert all(x.columnar() is not None for x in parts + heads)
+
+
+def test_iterating_columns_holds_one_block():
+    """Iterating a 200k-edge column stream keeps about one block of
+    pairs alive, far below the tuple list a cached view would hold."""
+    n = 200_000
+    us = np.arange(n, dtype=np.int32)
+    vs = ((us.astype(np.int64) * 7919 + 13) % n).astype(np.int32)
+    stream = EdgeStream.from_columns(us, vs)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def walk():
+        count = 0
+        for _ in stream:
+            count += 1
+        return count
+
+    count, walked = peak(walk)
+    assert count == n
+    _, block = peak(lambda: list(zip(us[:DEFAULT_CHUNK_SIZE].tolist(),
+                                     vs[:DEFAULT_CHUNK_SIZE].tolist())))
+    _, whole = peak(lambda: list(zip(us.tolist(), vs.tolist())))
+    assert walked < 1.5 * block, (walked, block)
+    assert walked * 10 < whole, (walked, whole)
 
 
 def test_out_of_int32_file_stays_scalar(tmp_path):

@@ -161,7 +161,7 @@ def test_sharded_runner_equals_the_oracle_merge(arrivals, shards):
     result = ShardedRunner(
         population, shards=shards, budget=120, stream_seed=3, sampler_seed=2,
     ).run()
-    stream = population.permuted(3, columns=True)
+    stream = population.permuted(3)
     counters = []
     for s, substream in enumerate(split_stream(list(stream), shards)):
         counter = get_method("gps-post").make(120 // shards, 0, 2 * shards + s)

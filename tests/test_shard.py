@@ -301,21 +301,30 @@ class TestShardedRunner:
         result = ShardedRunner(edges, shards=2, budget=100).run()
         assert result.pipeline == "scalar"
 
-    def test_topology_weight_never_builds_columns(self, edges, monkeypatch):
-        """Columns are built only on the chunked branch, so a triangle-
-        weight pass (no vectorised gate) over a tuple population never
-        pays the conversion (EdgeStream.columnar is its only site)."""
-        import repro.streams.stream as stream_module
+    def test_topology_weight_routes_on_columns(self, edges, monkeypatch):
+        """A triangle-weight pass (no vectorised gate) over an int32
+        tuple population converts it once and routes the permuted
+        columns with shard_columns, bit-identically to the per-edge
+        reference."""
+        import repro.shard.runner as runner_module
 
-        def refuse(edges):
-            raise AssertionError("columnar_or_none called")
+        expected = _sharded_reference(edges, shards=4, budget=400,
+                                      stream_seed=3, sampler_seed=11)
 
-        monkeypatch.setattr(stream_module, "columnar_or_none", refuse)
-        spec = RunSpec(source="inline", method="gps-post", budget=200,
-                       weight="triangle", shards=2)
-        assert run(spec, graph=edges).pipeline == "scalar"
-        result = ShardedRunner(edges, shards=2, budget=200).run()
+        def refuse(*args, **kwargs):
+            raise AssertionError("split_stream routed an int32 population")
+
+        monkeypatch.setattr(runner_module, "split_stream", refuse)
+        result = ShardedRunner(edges, shards=4, budget=400,
+                               stream_seed=3, sampler_seed=11).run()
         assert result.pipeline == "scalar"
+        _assert_merged(result, expected)
+        spec = RunSpec(source="inline", method="gps-post", budget=400,
+                       weight="triangle", shards=4, stream_seed=3,
+                       sampler_seed=11)
+        report = run(spec, graph=edges)
+        assert report.pipeline == "scalar"
+        assert report.post_stream == result.estimates
 
     def test_column_population_routes_on_columns_on_the_scalar_drive(
         self, edges, monkeypatch
