@@ -66,13 +66,10 @@ from repro.engine.stream_engine import EngineStats, StreamEngine
 from repro.faults.injector import coerce_injector
 from repro.stats.confidence import confidence_interval
 from repro.stats.running import RunningMoments
-from repro.streams.chunks import DEFAULT_CHUNK_SIZE, columnar_or_none
+from repro.streams.chunks import DEFAULT_CHUNK_SIZE
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.exact import prefix_counts
-from repro.graph.io import iter_edge_list, read_edge_columns
-from repro.streams.interner import NodeInterner
 from repro.streams.stream import EdgeStream
-from repro.streams.transforms import simplify_columns, simplify_edges
 
 Edge = Tuple[Any, Any]
 
@@ -199,10 +196,11 @@ class RunReport:
     #: The drive that ran the pass, as :func:`chunk_size_for` chose it:
     #: ``"chunked"`` when the counter, weight and stream all support
     #: the columnar gate, else ``"scalar"`` — a label-reading method or
-    #: weight, labels that are not int32 ints, a counter without a
-    #: vectorised gate (the in-stream estimator, topology-reading
-    #: weights) or a lazy unpermuted file pass.  Results are
-    #: bit-identical either way.
+    #: weight, labels that are not int32 ints (a file the columnar
+    #: reader declines) or a counter without a vectorised gate (the
+    #: in-stream estimator, topology-reading weights).  Seeded and
+    #: unseeded passes choose alike, and results are bit-identical
+    #: either way.
     pipeline: str = "scalar"
     #: Fault-tolerance cost of pooled dispatch: tasks resubmitted after
     #: worker failure / executors rebuilt after BrokenProcessPool (both
@@ -343,10 +341,10 @@ def _resolve_edges(source: str, graph: Optional[Any]) -> EdgeStream:
     so seeded permutations are bit-identical to the legacy entry points;
     files keep their arrival order (the stream seed then permutes it).
     An :class:`EdgeStream` passes through as is, so a population the
-    executor holds keeps its cached views across tasks.  Integer edge
-    lists parse, simplify and stay as int32 columns
-    (:func:`~repro.graph.io.read_edge_columns`); any file the columnar
-    reader declines takes the reference tuple path, with equal edges.
+    executor holds keeps its cached views across tasks.  A file becomes
+    its population through :meth:`EdgeStream.from_file`, seeded run or
+    not: int32 columns for an integer file, tuples for a file the
+    columnar reader declines.
     """
     if graph is not None:
         if isinstance(graph, EdgeStream):
@@ -360,10 +358,7 @@ def _resolve_edges(source: str, graph: Optional[Any]) -> EdgeStream:
     if source in DATASETS:
         return EdgeStream(EdgeStream.canonical_edges(make_graph(source)))
     if os.path.exists(source):
-        columns = read_edge_columns(source)
-        if columns is not None:
-            return EdgeStream.from_columns(*simplify_columns(*columns))
-        return EdgeStream(list(simplify_edges(iter_edge_list(source))))
+        return EdgeStream.from_file(source)
     raise ValueError(
         f"cannot resolve source {source!r}: not a registered dataset "
         f"and no such file"
@@ -445,29 +440,6 @@ def chunk_size_for(
     return DEFAULT_CHUNK_SIZE
 
 
-def _lazy_file_stream(spec: RunSpec, method: MethodSpec, graph: Optional[Any]):
-    """A lazy edge iterator when nothing forces materialisation, else None.
-
-    A single unpermuted pass of a length-free method over an edge-list
-    file never needs the population in memory — the counter is budget-
-    bounded and the engine consumes any iterable — so ``sample`` on a
-    multi-GB file keeps its streaming behaviour.
-    """
-    if (
-        graph is not None
-        or spec.stream_seed is not None
-        or spec.checkpoints > 0
-        or spec.shards > 1
-        or method.needs_stream_length
-    ):
-        return None
-    from repro.experiments.datasets import DATASETS
-
-    if spec.source in DATASETS or not os.path.exists(spec.source):
-        return None  # datasets materialise anyway; bad paths error later
-    return simplify_edges(iter_edge_list(spec.source))
-
-
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
@@ -514,20 +486,6 @@ def run(
     method, resolved_weight = _checked(spec, weight_fn)
     if spec.replications > 1:
         return _run_replicated(spec, graph, weight_fn, faults=faults)
-
-    lazy = _lazy_file_stream(spec, method, graph)
-    if lazy is not None:
-        # A lazy source cannot be pre-validated for the columnar gate
-        # (a mid-stream fallback would have to replay consumed edges),
-        # so the unpermuted file pass always drives scalar.
-        counter = method.make(
-            spec.budget, 0, spec.sampler_seed, weight_fn=resolved_weight,
-            core=spec.core,
-        )
-        stats = StreamEngine(counter).run(lazy)
-        return _finish_report(
-            spec, mode="single", method=method, counter=counter, stats=stats
-        )
 
     population = _resolve_edges(spec.source, graph)
 
@@ -906,16 +864,13 @@ def _run_tracking(
     """One pass recording a :class:`TrackPoint` at every mark.
 
     The exact series is counted before the pass, from the stream's
-    int32 columns (labels that are not int32 ints interned to dense
-    ids first), so the report's timing covers the sampler, and on a
-    batched drive over columns the conversion of each block to
-    Python int pairs too (a few ms per 200k edges).
+    int32 columns (:meth:`EdgeStream.id_columns`), so the report's
+    timing covers the sampler, and on a batched drive over columns the
+    conversion of each block to Python int pairs too (a few ms per 200k
+    edges).
     """
     marks = stream.checkpoints(spec.checkpoints)
-    columns = stream.columnar()
-    if columns is None:
-        columns = columnar_or_none(NodeInterner().intern_edges(stream))
-    exact = iter(prefix_counts(*columns, marks))
+    exact = iter(prefix_counts(*stream.id_columns(), marks))
     points: List[TrackPoint] = []
     is_gps = isinstance(counter, IN_STREAM_TYPES)
     sampler = getattr(counter, "sampler", None)

@@ -43,15 +43,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 from repro.graph.exact import GraphStatistics, column_statistics
-from repro.graph.io import iter_edge_list, read_edge_columns
-from repro.streams.transforms import (
-    relabel_streaming,
-    simplify_columns,
-    simplify_edges,
-)
+from repro.streams.stream import EdgeStream
 
 #: Bump when the on-disk payload layout changes; stale versions are
 #: treated as misses rather than parsed.
@@ -85,11 +78,11 @@ def content_key(descriptor: Dict[str, Any]) -> str:
 def file_statistics(path: str) -> GraphStatistics:
     """Exact statistics of an edge-list file, counted on its columns.
 
-    An integer file parses into int32 columns, which
-    :func:`~repro.streams.transforms.simplify_columns` simplifies; a file
-    the columnar reader declines is read by the reference line loop,
-    simplified, and relabelled to dense ids.  Either way the statistics
-    equal those of ``compute_statistics(read_edge_list(path))``.
+    The file's population (:meth:`EdgeStream.from_file`) is counted on
+    its int32 columns: an integer file's own, or dense ids interned
+    from a declined file's tuples (:meth:`EdgeStream.id_columns`).
+    Either way the statistics equal those of
+    ``compute_statistics(read_edge_list(path))``.
 
     Example
     -------
@@ -102,14 +95,7 @@ def file_statistics(path: str) -> GraphStatistics:
     >>> stats.num_edges, stats.triangles, stats.wedges
     (4, 1, 5)
     """
-    columns = read_edge_columns(path)
-    if columns is not None:
-        return column_statistics(*simplify_columns(*columns))
-    edges = np.array(
-        list(relabel_streaming(simplify_edges(iter_edge_list(path)))),
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    return column_statistics(edges[:, 0], edges[:, 1])
+    return column_statistics(*EdgeStream.from_file(path).id_columns())
 
 
 def _file_sha256(path: str) -> str:

@@ -91,8 +91,10 @@ class MethodSpec:
         exactly the values :attr:`extract` would.
     needs_stream_length:
         Whether the factory's budget interpretation divides by the
-        stream length (probability-matched methods).  Length-free
-        methods can be driven over lazy streams of unknown size.
+        stream length (probability-matched methods).  A batch run
+        always knows it, since every source resolves to its whole
+        population first; the live service, whose stream has no
+        length up front, rejects such methods.
     wants_post_stream:
         Whether reports should carry the retrospective (Algorithm 2)
         estimate bundle; off for methods whose metrics never read it, so
@@ -353,8 +355,9 @@ def registry_markdown() -> str:
         "",
         "`weighted` methods accept a `--weight` / `RunSpec.weight` from the",
         "table below; `budget ÷ stream length` marks probability-matched",
-        "methods (`p = m/|K|`), which need the stream length up front and",
-        "therefore cannot run over lazy file streams of unknown size.",
+        "methods (`p = m/|K|`), which need the stream length up front, so",
+        "the live service (`repro serve`), whose stream has no known",
+        "length, rejects them.",
         "",
         "## Weight functions (GPS family)",
         "",

@@ -26,6 +26,7 @@ C rather than Python.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 import numpy as np
@@ -33,12 +34,28 @@ import numpy as np
 from repro.baselines.base import BatchProcessMixin
 from repro.graph.edge import Node, is_self_loop
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _check_label(label: Node) -> None:
+    """Raise unless ``label`` is an integer NSAMP's int64 arrays hold."""
+    try:
+        if _INT64.min <= operator.index(label) <= _INT64.max:
+            return
+    except TypeError:
+        pass
+    raise ValueError(
+        f"nsamp keeps node labels in int64 arrays and cannot store "
+        f"{label!r}; intern labels to dense ids first "
+        f"(repro.streams.NodeInterner)"
+    )
+
 
 class NeighborhoodSampling(BatchProcessMixin):
     """NSAMP with ``r`` vectorised estimator instances (integer node ids).
 
-    Node labels must be non-negative integers (the experiment datasets
-    are generated that way; use stream relabelling otherwise).
+    Node labels must be integers within int64, negative ones included;
+    any other label raises :class:`ValueError` on arrival.
     """
 
     __slots__ = (
@@ -70,6 +87,8 @@ class NeighborhoodSampling(BatchProcessMixin):
     def process(self, u: Node, v: Node) -> None:
         if is_self_loop(u, v):
             return
+        _check_label(u)
+        _check_label(v)
         a, b = (u, v) if u <= v else (v, u)
         self._arrivals += 1
         t = self._arrivals
@@ -83,11 +102,11 @@ class NeighborhoodSampling(BatchProcessMixin):
         replace1 = self._rng.random(self._r) < (1.0 / t)
 
         # 3. Level-2 update for instances keeping e1 and adjacent to (a, b).
+        # Every e1 is set from the first arrival on (t = 1 replaces all),
+        # so nothing tests for the -1 sentinel: -1 is a valid label.
         e1u, e1v = self._e1
-        adjacent = (
-            ~replace1
-            & (e1u >= 0)
-            & ((e1u == a) | (e1v == a) | (e1u == b) | (e1v == b))
+        adjacent = ~replace1 & (
+            (e1u == a) | (e1v == a) | (e1u == b) | (e1v == b)
         )
         if adjacent.any():
             self._count[adjacent] += 1

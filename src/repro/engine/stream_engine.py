@@ -223,7 +223,9 @@ class StreamEngine:
     ) -> int:
         """Batched drive: ``islice`` views straight into ``process_many``.
 
-        Nothing is ever materialised, so lazy file streams stay lazy.
+        Nothing is materialised here: a column-backed stream hands over
+        one block of plain-int pairs at a time, and any other iterable
+        is consumed as it goes.
         """
         process_many = self._counter.process_many
         hooks = self._on_chunk

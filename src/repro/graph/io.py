@@ -10,13 +10,15 @@ are ignored unless requested.
 Two readers share that format.  :func:`iter_edge_list` is the reference:
 a text-mode line loop that accepts any ``node_type`` and names the
 offending ``path:line`` in an :class:`EdgeListError`.  The columnar
-reader (:func:`read_edge_columns`, behind :func:`read_edge_list`, and
-the lazy byte slabs of :func:`iter_edge_chunks`) parses integer
-files with numpy straight into ``int32`` columns, and declines any slab
-it cannot prove the reference would read identically — non-ASCII bytes,
-``+``/``_`` or any other non-digit in a label, ids outside int32, a
-malformed first or second token.  A declined file is re-read by the
-reference, so both readers always agree.
+reader (:func:`read_edge_columns`, behind
+:meth:`repro.streams.stream.EdgeStream.from_file` and so
+:func:`read_edge_list`, and the lazy byte slabs of
+:func:`iter_edge_chunks`) parses integer files with numpy straight into
+``int32`` columns, and declines any slab it cannot prove the reference
+would read identically — non-ASCII bytes, ``+``/``_`` or any other
+non-digit in a label, ids outside int32, a malformed first or second
+token.  A declined file is re-read by the reference, so both readers
+always agree.
 """
 
 from __future__ import annotations
@@ -248,17 +250,24 @@ def read_edge_columns(path: PathLike):
     return np.concatenate(us), np.concatenate(vs)
 
 
-def _iter_column_blocks(path: PathLike, size: int):
-    """Lazy ``size``-edge int32 blocks of an integer edge-list file.
+def iter_edge_chunks(path: PathLike, size: Optional[int] = None):
+    """Read an integer edge-list file lazily as columnar ``int32`` blocks.
 
-    One slab parse covers about one block's bytes, so the parser never
-    holds the interpreter for long.  Blocks are cut exactly where
-    ``iter_chunks(iter_edge_list(path), size)`` cuts them; past a
-    declined slab that reference pipeline takes over, fed the edges not
-    yet emitted.
+    The chunk-shaped sibling of :func:`iter_edge_list`: the lines
+    arrive as ``(u, v)`` int32 array pairs of at most ``size`` edges
+    (default :data:`repro.streams.chunks.DEFAULT_CHUNK_SIZE`), the
+    input shape of the compact core's ``process_chunk``, without ever
+    materialising the whole stream.  One slab parse covers about one
+    block's bytes, so the parser never holds the interpreter for long.
+    Blocks are cut exactly where ``iter_chunks(iter_edge_list(path),
+    size)`` cuts them; past a declined slab that reference pipeline
+    takes over, fed the edges not yet emitted, so an id outside int32
+    raises :class:`TypeError` there.  This is the lazy file source of
+    the live service (:class:`repro.serve.source.FileTailSource`).
     """
-    from repro.streams.chunks import iter_chunks
+    from repro.streams.chunks import DEFAULT_CHUNK_SIZE, iter_chunks
 
+    size = size if size is not None else DEFAULT_CHUNK_SIZE
     if size <= 0:
         raise ValueError("chunk size must be positive")
     slab_bytes = max(size * _SLAB_BYTES_PER_EDGE, _MIN_SLAB_BYTES)
@@ -281,59 +290,16 @@ def _iter_column_blocks(path: PathLike, size: int):
         yield pending_u, pending_v
 
 
-def iter_edge_chunks(
-    path: PathLike,
-    size: Optional[int] = None,
-    delimiter: Optional[str] = None,
-    node_type: Callable[[str], Node] = int,
-):
-    """Read an edge-list file as columnar ``int32`` blocks.
-
-    The chunk-shaped sibling of :func:`iter_edge_list` — same parsing
-    (comment/short lines skipped, ``delimiter``/``node_type``
-    honoured), but the lines arrive as ``(u, v)`` int32 array pairs of
-    at most ``size`` edges (default
-    :data:`repro.streams.chunks.DEFAULT_CHUNK_SIZE`): the input shape
-    of the compact core's ``process_chunk``, without ever
-    materialising the whole stream.  Labels pass through unchanged, so
-    they must be int32-range ints (:func:`repro.streams.chunks.iter_chunks`
-    raises :class:`TypeError` otherwise).
-
-    With default arguments the file is parsed by the columnar reader one
-    byte slab (about one block) at a time, yielding exactly the blocks
-    of the reference line loop; this is the lazy file source of the live
-    service (:class:`repro.serve.source.FileTailSource`).
-    """
-    from repro.streams.chunks import DEFAULT_CHUNK_SIZE, iter_chunks
-
-    size = size if size is not None else DEFAULT_CHUNK_SIZE
-    if delimiter is None and node_type is int:
-        return _iter_column_blocks(path, size)
-    return iter_chunks(
-        iter_edge_list(path, delimiter=delimiter, node_type=node_type),
-        size=size,
-    )
-
-
-def read_edge_list(
-    path: PathLike,
-    delimiter: Optional[str] = None,
-    node_type: Callable[[str], Node] = int,
-) -> AdjacencyGraph:
+def read_edge_list(path: PathLike) -> AdjacencyGraph:
     """Read an edge-list file into an :class:`AdjacencyGraph` (simplified).
 
-    Integer files with default arguments parse through the columnar
-    reader; the graph is the same either way.
+    The graph of the file's population,
+    :meth:`repro.streams.stream.EdgeStream.from_file`.
     """
-    if delimiter is None and node_type is int:
-        columns = read_edge_columns(path)
-        if columns is not None:
-            return AdjacencyGraph(
-                zip(columns[0].tolist(), columns[1].tolist())
-            )
-    return AdjacencyGraph(
-        iter_edge_list(path, delimiter=delimiter, node_type=node_type)
-    )
+    # Lazy import: repro.streams.stream imports this module.
+    from repro.streams.stream import EdgeStream
+
+    return AdjacencyGraph(EdgeStream.from_file(path))
 
 
 def write_edge_list(

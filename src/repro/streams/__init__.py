@@ -5,7 +5,7 @@ each processed exactly once (Sec. 1).  Experiments generate streams by
 randomly permuting a graph's edge set (Sec. 6).  :class:`EdgeStream`
 implements that model with explicit seeding so every run is reproducible,
 and :mod:`repro.streams.transforms` provides the stream hygiene
-(simplification, tuple and columnar, and relabelling).
+(simplification, tuple and columnar).
 :mod:`repro.streams.interner` interns arbitrary node labels to dense
 ``int32`` ids, so a stream whose labels are not already int32 ints can
 still run on machine integers, and :mod:`repro.streams.chunks` turns

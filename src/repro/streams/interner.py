@@ -22,7 +22,8 @@ The synthetic generators (:mod:`repro.graph.generators`) already emit
 dense ``0..n-1`` int labels, for which interning is the identity
 relabelling, and integer edge-list files parse straight into int32
 columns; interning serves the rest (the live service's wide-id file
-source, tracking ground truth over non-int32 labels).
+source, and exact counts over non-int32 labels through
+``EdgeStream.id_columns``).
 """
 
 from __future__ import annotations

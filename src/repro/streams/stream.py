@@ -8,12 +8,13 @@ edge set with an explicit seed — exactly the experimental setup of Sec. 6
 each graph").
 
 A stream is backed by ``(u, v)`` tuples or by int32 columns
-(:meth:`EdgeStream.from_columns`, what the columnar file reader and the
-shared-memory fan-out produce).  A tuple stream builds its columns on
-first use and caches them; a column-backed stream never builds a tuple
-list: iterating it yields plain-int pairs one ``DEFAULT_CHUNK_SIZE``
-block at a time and caches nothing, so the chunked engine reads the
-columns' blocks and a scalar pass reads pairs made fresh from them.
+(:meth:`EdgeStream.from_columns`, what :meth:`EdgeStream.from_file`
+makes of an integer edge-list file and the shared-memory fan-out
+attaches).  A tuple stream builds its columns on first use and caches
+them; a column-backed stream never builds a tuple list: iterating it
+yields plain-int pairs one ``DEFAULT_CHUNK_SIZE`` block at a time and
+caches nothing, so the chunked engine reads the columns' blocks and a
+scalar pass reads pairs made fresh from them.
 Every seeded permutation of a stream whose labels convert gathers the
 columns, whatever drive then reads it.
 
@@ -33,12 +34,14 @@ import numpy as np
 
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.edge import Node
+from repro.graph.io import PathLike, iter_edge_list, read_edge_columns
 from repro.streams.chunks import (
     DEFAULT_CHUNK_SIZE,
     columnar_or_none,
     pairs_from_columns,
 )
 from repro.streams.interner import NodeInterner
+from repro.streams.transforms import simplify_columns, simplify_edges
 
 #: Bounds below this are drawn by a plain per-step loop: there a block's
 #: words are nearly all ambiguous and its fixed point converges slowly.
@@ -268,6 +271,24 @@ class EdgeStream:
         stream._columns = (us, vs)
         return stream
 
+    @classmethod
+    def from_file(cls, path: PathLike) -> "EdgeStream":
+        """An edge-list file's simplified edge population, in file order.
+
+        The one place a file becomes a population: an integer file
+        parses into int32 columns (:func:`~repro.graph.io.read_edge_columns`)
+        and :func:`~repro.streams.transforms.simplify_columns` drops its
+        self loops and repeats, so the stream is column-backed; a file
+        the columnar reader declines is read by the reference line loop
+        (:func:`~repro.graph.io.iter_edge_list`) and
+        :func:`~repro.streams.transforms.simplify_edges`, with equal
+        edges, into a tuple-backed stream.
+        """
+        columns = read_edge_columns(path)
+        if columns is not None:
+            return cls.from_columns(*simplify_columns(*columns))
+        return cls(list(simplify_edges(iter_edge_list(path))))
+
     def permuted(self, seed: Optional[int]) -> "EdgeStream":
         """The seeded arrival permutation of this stream.
 
@@ -319,6 +340,21 @@ class EdgeStream:
             built = columnar_or_none(self._edges)
             self._columns = False if built is None else built
         return None if self._columns is False else self._columns
+
+    def id_columns(self):
+        """``(u, v)`` int32 columns to count on, whatever the labels.
+
+        The stream's own :meth:`columnar` labels when they convert,
+        else dense ids interned in first-appearance order (strings, ids
+        past int32).  Exact counts are label-free, so either serves.
+
+        >>> EdgeStream([("a", "b"), ("b", "c")]).id_columns()[1].tolist()
+        [1, 2]
+        """
+        columns = self.columnar()
+        if columns is None:
+            columns = columnar_or_none(NodeInterner().intern_edges(self._edges))
+        return columns
 
     def _require_columns(self):
         columns = self.columnar()

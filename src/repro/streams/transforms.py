@@ -1,18 +1,15 @@
-"""Stream transforms: hygiene and reshaping for edge streams.
+"""Stream transforms: hygiene for edge streams.
 
 The paper assumes simplified graphs (unique, loop-free edges).  Real edge
 lists rarely guarantee that, so :func:`simplify_edges` is the standard
-pre-processing step, and :func:`relabel_streaming` maps any labels to
-consecutive ints.
-
-Both are lazy generators over ``(u, v)`` pairs;
-:func:`simplify_columns` is the vectorised twin of
-:func:`simplify_edges` over int32 columns (the columnar file ingest).
+pre-processing step, a lazy generator over ``(u, v)`` pairs;
+:func:`simplify_columns` is its vectorised twin over int32 columns (the
+columnar file ingest).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Set, Tuple
+from typing import Iterable, Iterator, Set, Tuple
 
 import numpy as np
 
@@ -68,14 +65,3 @@ def simplify_columns(us, vs):
     _, first = np.unique(codes, return_index=True)
     first.sort()
     return us[first], vs[first]
-
-
-def relabel_streaming(
-    edges: Iterable[Tuple[Node, Node]],
-) -> Iterator[Tuple[int, int]]:
-    """Relabel nodes to consecutive ints in first-appearance order."""
-    labels: Dict[Node, int] = {}
-    for u, v in edges:
-        iu = labels.setdefault(u, len(labels))
-        iv = labels.setdefault(v, len(labels))
-        yield iu, iv

@@ -195,23 +195,24 @@ class TestRunEquivalence:
             run(RunSpec(source="<g>", method="triest", budget=50,
                         weight="wedge"), graph=api_graph)
 
-    def test_lazy_file_pass_matches_materialised_pass(self, api_graph, tmp_path):
-        """sample-style runs stream files lazily with identical results."""
+    def test_unseeded_file_pass_matches_direct_drive(self, api_graph, tmp_path):
+        """A sample-style run (no stream seed) streams the file's simplified
+        edges in file order: it equals the estimator driven directly
+        over the reference line loop."""
         from repro.graph.io import write_edge_list
 
-        path = str(tmp_path / "lazy.txt")
+        path = str(tmp_path / "unseeded.txt")
         write_edge_list(api_graph, path)
-        lazy = run(RunSpec(source=path, method="gps", budget=90,
-                           stream_seed=None, sampler_seed=4))
-        # Dataset-style resolution materialises; same file via a permuted
-        # seedless EdgeStream equivalent: drive the estimator directly.
+        unseeded = run(RunSpec(source=path, method="gps", budget=90,
+                               stream_seed=None, sampler_seed=4))
         from repro.graph.io import iter_edge_list
         from repro.streams.transforms import simplify_edges
 
         direct = InStreamEstimator(90, seed=4)
         direct.process_stream(simplify_edges(iter_edge_list(path)))
-        assert lazy.estimates["in_stream_triangles"] == direct.triangle_estimate
-        assert lazy.threshold == direct.sampler.threshold
+        assert (unseeded.estimates["in_stream_triangles"]
+                == direct.triangle_estimate)
+        assert unseeded.threshold == direct.sampler.threshold
 
     def test_unresolvable_source_raises(self):
         with pytest.raises(ValueError, match="cannot resolve source"):

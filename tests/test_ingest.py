@@ -438,11 +438,12 @@ def test_chunked_file_path_builds_no_tuples(edge_file, monkeypatch):
     monkeypatch.setattr(EdgeStream, "__init__", refuse)
     # A chunked pass never iterates pairs out of the columns either.
     monkeypatch.setattr(stream_module, "pairs_from_columns", refuse)
-    monkeypatch.setattr("repro.api.execution.iter_edge_list", refuse)
+    monkeypatch.setattr(stream_module, "iter_edge_list", refuse)
     spec = RunSpec(source=edge_file, method="gps-post", weight="uniform",
                    budget=60, stream_seed=1)
     assert run(spec).pipeline == "chunked"
     assert run(spec.replace(shards=2)).pipeline == "chunked"
+    assert run(spec.replace(stream_seed=None)).pipeline == "chunked"
 
 
 #: Report fields that time the pass; everything else must be identical.
@@ -458,16 +459,19 @@ def _timeless(report):
 
 def test_scalar_file_passes_build_no_tuples(edge_file, tuples, monkeypatch):
     """Scalar passes over an int32 file read its columns block by
-    block: with tuple-backed EdgeStream construction refused, every
-    single, tracking, replicated and sharded run equals the same spec
-    over the file's tuple list."""
+    block: with tuple-backed EdgeStream construction and the reference
+    line loop refused, every single, tracking, replicated and sharded
+    run, seeded or not, equals the same spec over the file's tuple
+    list."""
     specs = []
     for param in _configurations():
         method, weight = param.values
         base = RunSpec(source=edge_file, method=method, weight=weight,
                        budget=60, stream_seed=4, sampler_seed=9)
+        unseeded = base.replace(stream_seed=None)
         specs += [base, base.replace(checkpoints=3),
-                  base.replace(replications=2, workers=0)]
+                  base.replace(replications=2, workers=0),
+                  unseeded, unseeded.replace(checkpoints=3)]
     for weight in (None,) + weight_names():
         for shards in (2, 4):
             specs.append(RunSpec(source=edge_file, method="gps-post",
@@ -476,12 +480,13 @@ def test_scalar_file_passes_build_no_tuples(edge_file, tuples, monkeypatch):
     expected = [run(spec, graph=tuples) for spec in specs]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a tuple-backed EdgeStream was built")
+        raise AssertionError("the file's edges were built as tuples")
 
     monkeypatch.setattr(EdgeStream, "__init__", refuse)
+    monkeypatch.setattr(stream_module, "iter_edge_list", refuse)
     reports = [run(spec) for spec in specs]
     monkeypatch.undo()
-    assert "scalar" in {report.pipeline for report in reports}
+    assert {report.pipeline for report in reports} == {"scalar", "chunked"}
     for report, reference in zip(reports, expected):
         _same_report(report, reference)
         assert _timeless(report) == _timeless(reference)

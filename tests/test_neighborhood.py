@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import RunSpec, run
 from repro.baselines.neighborhood import NeighborhoodSampling
+from repro.graph.generators import powerlaw_cluster
+from repro.graph.io import write_edge_list
 from repro.stats.running import RunningMoments
 from repro.streams.stream import EdgeStream
 
@@ -83,3 +86,50 @@ class TestUnbiasedness:
                 ).triangle_estimate
             )
         assert many.variance < few.variance
+
+
+class TestLabels:
+    """NSAMP reads label identity only, so any int64 labels serve."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_estimate_is_shift_invariant(self, seed):
+        edges = list(EdgeStream.from_graph(
+            powerlaw_cluster(300, 4, 0.5, seed=3), seed=seed
+        ))
+
+        def estimate(shift):
+            counter = NeighborhoodSampling(500, seed=seed)
+            for u, v in edges:
+                counter.process(u + shift, v + shift)
+            return counter.triangle_estimate
+
+        unshifted = estimate(0)
+        assert unshifted > 0.0
+        for shift in (-1, -5, -100000, 1000):
+            assert estimate(shift) == unshifted, shift
+
+    def test_negative_file_ids_count(self, tmp_path):
+        """Negative int32 ids reach NSAMP through the file reader."""
+        graph = powerlaw_cluster(300, 4, 0.5, seed=3)
+        reports = []
+        for shift in (0, -100000):
+            path = tmp_path / f"shift{shift}.txt"
+            write_edge_list(((u + shift, v + shift)
+                             for u, v in graph.edges()), path)
+            reports.append(run(RunSpec(source=str(path), method="nsamp",
+                                       budget=500, stream_seed=1,
+                                       sampler_seed=1)))
+        assert reports[0].estimates["triangles"] > 0.0
+        assert reports[1].estimates == reports[0].estimates
+
+    def test_unstorable_label_names_nsamp_and_label(self):
+        ring = [("n0", "n1"), ("n1", "n2"), ("n2", "n3"), ("n3", "n0")]
+        with pytest.raises(ValueError, match=r"^nsamp .*'n[0-3]'"):
+            run(RunSpec(source="<g>", method="nsamp", budget=10), graph=ring)
+        counter = NeighborhoodSampling(4, seed=0)
+        counter.process(0, 1)
+        for label in (2**63, -(2**63) - 1, 1.5):
+            with pytest.raises(ValueError, match=rf"^nsamp .*{label!r}"):
+                counter.process(0, label)
+        counter.process(2**63 - 1, -(2**63))
+        assert counter.arrivals == 2

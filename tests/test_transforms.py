@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.streams.transforms import relabel_streaming, simplify_edges
+from repro.streams.transforms import simplify_edges
 
 
 class TestSimplify:
@@ -26,14 +26,3 @@ class TestSimplify:
 
         iterator = simplify_edges(generator())
         assert next(iterator) == (0, 1)
-
-
-class TestMapAndRelabel:
-    def test_relabel_streaming_first_appearance_order(self):
-        edges = [("c", "a"), ("a", "b")]
-        assert list(relabel_streaming(edges)) == [(0, 1), (1, 2)]
-
-    def test_relabel_streaming_is_consistent(self):
-        edges = [("x", "y"), ("y", "x"), ("x", "z")]
-        out = list(relabel_streaming(edges))
-        assert out == [(0, 1), (1, 0), (0, 2)]
