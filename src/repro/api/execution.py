@@ -715,8 +715,11 @@ def execute(
     when the caller already holds it, else from the dataset registry or
     the file — into one :class:`~repro.streams.stream.EdgeStream` that
     every task of that source shares, so its int32 columns are built at
-    most once per process.  Inline execution holds one source
-    at a time (sweep specs come grouped by source).  In pool mode a
+    most once per process.  The population also holds the arrival order
+    it last permuted (:meth:`~repro.streams.stream.EdgeStream.permuted`),
+    so consecutive tasks of one stream seed permute once.  Inline
+    execution holds one source at a time (sweep specs come grouped by
+    source, then by stream seed).  In pool mode a
     population whose labels are all int32 ints is published once,
     straight from its columns, through
     :class:`~repro.engine.shared_edges.SharedEdgePopulation` under its

@@ -663,7 +663,10 @@ def run_sweep(
         per-replication reports (``cells/``) are written there, each
         report the moment its replication finishes (inline or pooled),
         so a sweep that dies mid-grid — an exception, a crash, a kill —
-        keeps every replication it completed.  Without it, ground truth
+        keeps every replication it completed.  Replications run grouped
+        by source, then by stream seed (every cell's run ``i`` shares
+        one arrival order, permuted once), so a killed sweep has kept
+        whole seeds rather than whole cells.  Without it, ground truth
         is still shared in-process across all cells.
     resume:
         Reuse cached per-replication reports instead of re-executing
@@ -744,6 +747,14 @@ def run_sweep(
             cached[(c, r)] = True
         else:
             pending.append((c, r, run_spec))
+    # Submit source by source, then seed by seed (cells in grid order
+    # within a seed): a population holds the arrival order it last
+    # permuted, so the tasks of one stream seed share it, inline and
+    # on each pool worker.
+    source_rank = {source: rank for rank, source in enumerate(truths)}
+    pending.sort(key=lambda item: (
+        source_rank[item[2].source], item[2].stream_seed,
+    ))
 
     def store(index: int, report: RunReport) -> None:
         cell_store.write(report_key(pending[index][2]), report.to_dict())

@@ -19,6 +19,7 @@ tunes ``p`` to meet a budget, as with MASCOT.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, Optional
 
@@ -71,16 +72,21 @@ class GraphSampleHold(BatchProcessMixin):
 
     @property
     def triangle_estimate(self) -> float:
-        """HT estimate of triangles: Σ over held triangles Π 1/p_i."""
-        total = 0.0
+        """HT estimate of triangles: Σ over held triangles Π 1/p_i.
+
+        The products are visited in set order, which follows the string
+        hash for string labels, so they are summed with ``math.fsum``:
+        correctly rounded, whatever the order.
+        """
+        products = []
         for u, v in self._graph.edges():
             key_uv = canonical_edge(u, v)
             inv_uv = 1.0 / self._probs[key_uv]
             for w in self._graph.common_neighbors(u, v):
                 inv_uw = 1.0 / self._probs[canonical_edge(u, w)]
                 inv_vw = 1.0 / self._probs[canonical_edge(v, w)]
-                total += inv_uv * inv_uw * inv_vw
-        return total / 3.0  # each triangle visited once per edge
+                products.append(inv_uv * inv_uw * inv_vw)
+        return math.fsum(products) / 3.0  # each triangle once per edge
 
     @property
     def sample_size(self) -> int:

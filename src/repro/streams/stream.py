@@ -215,11 +215,13 @@ def shuffled_indices(n: int, seed: int) -> np.ndarray:
 class EdgeStream:
     """A replayable, finite stream of undirected edges."""
 
-    __slots__ = ("_edges", "_columns")
+    __slots__ = ("_edges", "_columns", "_held_seed", "_held")
 
     def __init__(self, edges: Sequence[Tuple[Node, Node]]) -> None:
         self._edges: Optional[List[Tuple[Node, Node]]] = list(edges)
         self._columns = None  # lazily built by columnar(); False = can't
+        self._held_seed: Optional[int] = None  # see permuted()
+        self._held: Optional["EdgeStream"] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -269,6 +271,7 @@ class EdgeStream:
         stream = cls.__new__(cls)
         stream._edges = None
         stream._columns = (us, vs)
+        stream._held_seed = stream._held = None
         return stream
 
     @classmethod
@@ -302,21 +305,35 @@ class EdgeStream:
         a scalar pass alike; only labels that do not convert gather
         tuples.  ``seed=None`` keeps the order and returns this stream.
 
+        The stream keeps the permutation it last returned and returns
+        it again while the seed repeats, so the tasks of one stream seed
+        (a sweep's cells, the shards of a pass) share one order.  A new
+        seed drops the held permutation before gathering the next, so
+        at most one is held.
+
         >>> stream = EdgeStream([(0, 1), (1, 2), (2, 3)])
         >>> order = list(stream)
         >>> random.Random(5).shuffle(order)
         >>> list(stream.permuted(5)) == order
         True
+        >>> stream.permuted(5) is stream.permuted(5)
+        True
         """
         if seed is None:
             return self
+        if self._held is not None and seed == self._held_seed:
+            return self._held
+        self._held_seed = self._held = None
         index = shuffled_indices(len(self), seed)
         columns = self.columnar()
         if columns is not None:
             us, vs = columns
-            return EdgeStream.from_columns(us[index], vs[index])
-        edges = self._edges
-        return EdgeStream([edges[i] for i in index.tolist()])
+            held = EdgeStream.from_columns(us[index], vs[index])
+        else:
+            edges = self._edges
+            held = EdgeStream([edges[i] for i in index.tolist()])
+        self._held_seed, self._held = seed, held
+        return held
 
     # ------------------------------------------------------------------
     # Columnar (chunked) access

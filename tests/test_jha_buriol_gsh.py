@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.baselines.buriol import BuriolSampler
@@ -10,6 +15,8 @@ from repro.baselines.sample_hold import GraphSampleHold
 from repro.graph.generators import complete_graph
 from repro.stats.running import RunningMoments
 from repro.streams.stream import EdgeStream
+
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def drive(counter, graph, stream_seed=0):
@@ -149,3 +156,27 @@ class TestGraphSampleHold:
         counter = GraphSampleHold(0.5, seed=0)
         drive(counter, k4_graph)
         assert counter.sample_size >= 1
+
+    def test_string_label_estimate_ignores_the_hash_seed(self):
+        """The held triangles' products are visited in set order, which
+        follows the string hash; their sum must not."""
+        script = (
+            "from repro.api import RunSpec, run\n"
+            "from repro.graph.adjacency import AdjacencyGraph\n"
+            "from repro.graph.generators import powerlaw_cluster\n"
+            "g = powerlaw_cluster(200, 3, 0.5, seed=8)\n"
+            "named = AdjacencyGraph((f'n{u}', f'n{v}') for u, v in g.edges())\n"
+            "spec = RunSpec(source='g', method='gsh', budget=60,"
+            " stream_seed=4, sampler_seed=9)\n"
+            "print(repr(run(spec, graph=named).estimates['triangles']))\n"
+        )
+        outputs = set()
+        for hash_seed in ("1", "2", "4", "5"):
+            env = dict(os.environ, PYTHONPATH=SRC_DIR,
+                       PYTHONHASHSEED=hash_seed)
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            outputs.add(result.stdout.strip())
+        assert len(outputs) == 1, outputs

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+
+import numpy as np
+
 from repro.graph.adjacency import AdjacencyGraph
 from repro.streams.stream import EdgeStream
 
@@ -29,6 +33,44 @@ class TestConstruction:
     def test_from_edges_preserves_order(self):
         edges = [(3, 4), (1, 2), (2, 3)]
         assert list(EdgeStream.from_edges(edges)) == edges
+
+
+class TestHeldPermutation:
+    """A population keeps the order it last permuted, and only that one."""
+
+    @staticmethod
+    def holds(population, stream):
+        # EdgeStream has __slots__ and no __weakref__: look at what the
+        # population itself refers to.
+        return any(ref is stream for ref in gc.get_referents(population))
+
+    def populations(self):
+        column = np.arange(40, dtype=np.int32)
+        yield EdgeStream.from_columns(column, column + 1)
+        yield EdgeStream([(f"n{i}", f"n{i + 1}") for i in range(40)])
+
+    def test_repeated_seed_returns_the_same_stream(self):
+        for population in self.populations():
+            first = population.permuted(3)
+            assert population.permuted(3) is first
+            assert self.holds(population, first)
+
+    def test_new_seed_drops_the_held_stream(self):
+        for population in self.populations():
+            first = population.permuted(3)
+            expected = list(EdgeStream(list(population)).permuted(4))
+            second = population.permuted(4)
+            assert list(second) == expected
+            assert not self.holds(population, first)
+            assert self.holds(population, second)
+            assert population.permuted(3) is not first
+            assert list(population.permuted(3)) == list(first)
+
+    def test_unseeded_returns_the_population(self):
+        for population in self.populations():
+            held = population.permuted(5)
+            assert population.permuted(None) is population
+            assert population.permuted(5) is held
 
 
 class TestSlicing:

@@ -28,6 +28,7 @@ from repro.faults import FaultInjected, FaultPlan, FaultSpec
 from repro.graph.exact import compute_statistics
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.io import read_edge_list, write_edge_list
+from repro.streams import stream
 
 
 @pytest.fixture(scope="module")
@@ -661,3 +662,53 @@ class TestTrackingSweep:
         triest = report.cell(edge_file, "triest").reports[0]
         assert len(triest.tracking) == 4
         assert triest.tracking[-1].in_stream is None
+
+
+class TestSharedArrivalOrders:
+    """Replications are submitted seed by seed, so every cell's run ``i``
+    streams the one order its population permuted for seed ``i``."""
+
+    TIMING = ("elapsed_seconds", "update_time_us", "edges_per_second")
+
+    @pytest.fixture(scope="class")
+    def spec(self, edge_file):
+        return SweepSpec(
+            sources=(edge_file,),
+            methods=("gps-post", "triest"),
+            budgets=(60, 120),
+            shards=(1, 2),
+            runs=3,
+            base_stream_seed=5,
+            base_sampler_seed=50,
+            workers=0,
+        )
+
+    @classmethod
+    def timeless(cls, report):
+        out = report.to_dict()
+        for key in cls.TIMING:
+            del out[key]
+        return out
+
+    def test_one_permutation_per_seed(self, spec, monkeypatch):
+        calls = []
+        shuffled = stream.shuffled_indices
+
+        def counted(n, seed):
+            calls.append(seed)
+            return shuffled(n, seed)
+
+        monkeypatch.setattr(stream, "shuffled_indices", counted)
+        inline = run_sweep(spec)
+        monkeypatch.undo()
+        assert len(inline.cells) == 6  # gps-post: 2 budgets × 2 layouts; triest: 2
+        assert sorted(calls) == [5, 6, 7]
+        for cell in inline.cells:
+            for report in cell.reports:
+                assert self.timeless(report) == self.timeless(
+                    run(report.spec))
+        pooled = run_sweep(spec.replace(workers=2))
+        assert [[self.timeless(r) for r in cell.reports]
+                for cell in pooled.cells] == [
+            [self.timeless(r) for r in cell.reports] for cell in inline.cells
+        ]
